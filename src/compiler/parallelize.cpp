@@ -127,7 +127,7 @@ class Parallelizer {
   /// Single-stream producer endpoint for an original channel: the producer
   /// itself, or the lazy join over its replicas.
   [[nodiscard]] std::pair<KernelId, int> producer_proxy(ChannelId c) {
-    const Channel& ch = g_.channel(c);
+    const Channel ch = g_.channel(c);  // a copy: connect() below reallocates
     auto it = sets_.find(ch.src_kernel);
     if (it == sets_.end()) return {ch.src_kernel, ch.src_port};
     ReplicaSet& rs = it->second;

@@ -1,6 +1,7 @@
 #include "core/firing.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/kernel.h"
 
@@ -67,9 +68,10 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
 
   // 2. Automatic forwarding of unhandled tokens, grouped by the data method
   //    each input feeds (§II-C). Inputs feeding no data method form
-  //    singleton groups whose tokens are dropped.
-  auto try_group = [&](const std::vector<int>& group,
-                       const std::vector<int>& outs) -> bool {
+  //    singleton groups whose tokens are dropped. Groups are spans over the
+  //    kernel's own method tables, so no decision allocates.
+  auto try_group = [&](std::span<const int> group,
+                       std::span<const int> outs) -> bool {
     const Item* first = nullptr;
     for (int p : group) {
       if (std::find(connected.begin(), connected.end(), p) == connected.end())
@@ -91,20 +93,26 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
     out.kind = FireDecision::Kind::Forward;
     out.token = cls;
     out.payload = as_token(*first).payload;
-    out.pop_inputs = group;
-    out.forward_outputs = outs;
+    out.pop_inputs.assign(group.begin(), group.end());
+    out.forward_outputs.assign(outs.begin(), outs.end());
     return true;
   };
 
-  std::vector<char> grouped(k.inputs().size(), 0);
+  auto feeds_data_method = [&](int p) {
+    return std::any_of(methods.begin(), methods.end(),
+                       [&](const MethodDef& def) {
+                         return !def.token_triggered() &&
+                                std::find(def.inputs.begin(), def.inputs.end(),
+                                          p) != def.inputs.end();
+                       });
+  };
   for (const MethodDef& def : methods) {
     if (def.token_triggered() || def.inputs.empty()) continue;
-    for (int p : def.inputs) grouped[static_cast<size_t>(p)] = 1;
     if (try_group(def.inputs, def.outputs)) return;
   }
-  for (size_t p = 0; p < k.inputs().size(); ++p) {
-    if (grouped[p]) continue;
-    if (try_group({static_cast<int>(p)}, {})) return;
+  for (int p = 0; p < static_cast<int>(k.inputs().size()); ++p) {
+    if (feeds_data_method(p)) continue;
+    if (try_group(std::span<const int>(&p, 1), {})) return;
   }
 }
 

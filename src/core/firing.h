@@ -80,7 +80,9 @@ struct FireDecision {
 
 /// Allocation-free variant for engine hot loops: overwrites `out`
 /// (clearing, not shrinking, its vectors), so a decision object reused
-/// across firings stops heap-allocating once its capacity warms up.
+/// across firings stops heap-allocating once its capacity warms up, on
+/// every path of the rules above (not-ready, method and forward alike). A
+/// Kernel::decide_custom override allocates only if it does so itself.
 void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
                       const HeadFn& head, FireDecision& out);
 

@@ -7,8 +7,7 @@
 // run is the single consumer. A full ring never blocks the producer —
 // emit() drops the event and counts it, so tracing shears accuracy under
 // overload instead of perturbing the schedule it is observing. The oldest
-// events are the ones kept (first-N semantics, which is also what the
-// simulator's trace_limit adapter needs).
+// events are the ones kept (first-N semantics).
 
 #include <atomic>
 #include <cstdint>

@@ -61,6 +61,15 @@ const std::string& Trace::kernel_name(std::int32_t k) const {
   return kernel_names[static_cast<std::size_t>(k)];
 }
 
+std::vector<TraceEvent> first_firings(const Trace& t, std::size_t n) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : t.events) {
+    if (out.size() >= n) break;
+    if (e.kind == EventKind::kFiring) out.push_back(e);
+  }
+  return out;
+}
+
 void write_chrome_trace(const Trace& t, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\""
      << (t.clock == TraceClock::kModeled ? "modeled" : "wall")

@@ -110,6 +110,10 @@ struct Trace {
   [[nodiscard]] const std::string& kernel_name(std::int32_t k) const;
 };
 
+/// The first `n` firing spans of `t`, in trace order (`bpc --firings N`).
+[[nodiscard]] std::vector<TraceEvent> first_firings(const Trace& t,
+                                                    std::size_t n);
+
 /// Write `t` as Chrome trace-event JSON ({"traceEvents": [...]}), loadable
 /// in Perfetto or chrome://tracing. Firing/write/park events become "X"
 /// complete events on one track per core (sources on an extra track),

@@ -1,12 +1,12 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <limits>
-#include <memory>
+#include <queue>
 #include <sstream>
 #include <string>
 
@@ -46,6 +46,9 @@ CoreStats SimResult::totals() const {
 
 namespace {
 
+/// Instants closer than this are one instant.
+constexpr double kEps = 1e-15;
+
 struct TimedItem {
   Item item;
   double avail = 0.0;
@@ -54,6 +57,8 @@ struct TimedItem {
 
 struct ChannelState {
   std::deque<TimedItem> q;
+  KernelId producer = -1;  ///< readied when a pop frees space
+  KernelId consumer = -1;  ///< readied when a pushed item becomes visible
 };
 
 struct KernelState {
@@ -61,8 +66,14 @@ struct KernelState {
   std::vector<int> connected_inputs;
   std::vector<ChannelId> in_channel_of_port;            // -1 if none
   std::vector<std::vector<ChannelId>> out_channels_of_port;
+  std::vector<ChannelId> out_channels;  ///< all ports, flattened
   bool is_sink = false;
   int sink_index = -1;  ///< into SimResult::sink_frame_times
+  int core = -1;        ///< -1 for sources, which are retried every pass
+  /// Something this kernel reads changed since its last attempt failed.
+  /// A failed attempt has no side effects, so a kernel that is not ready
+  /// would fail again and is skipped.
+  bool ready = false;
 };
 
 struct SourceState {
@@ -75,12 +86,33 @@ struct SourceState {
   std::int64_t frame_idx = 0;
   /// Items released so far (the injector's firing index for sources).
   std::int64_t released = 0;
+  /// Release time of this source's entry in the wake heap (NaN if none).
+  double queued_release = std::numeric_limits<double>::quiet_NaN();
 };
 
 struct CoreState {
   std::vector<KernelId> kernels;  // non-source kernels mapped here
   double busy_until = 0.0;
   size_t rr = 0;
+  int ready_kernels = 0;
+  /// Channels written by the action in flight; their consumers are readied
+  /// when the action completes and the items become visible.
+  std::vector<ChannelId> pushed;
+};
+
+/// A wake-heap entry: the instant something becomes possible, and what.
+struct Wake {
+  enum class Kind : std::uint8_t {
+    kStart,     ///< time 0
+    kCore,      ///< core `id` finishes its action
+    kSource,    ///< source `id` releases its next item
+    kDelivery,  ///< delivery-delayed items of kernel `id` become visible
+  };
+  double t = 0.0;
+  Kind kind = Kind::kStart;
+  int id = -1;
+
+  bool operator>(const Wake& o) const { return t > o.t; }
 };
 
 class Sim {
@@ -89,10 +121,18 @@ class Sim {
       : g_(g), opt_(opt) {
     const int n = g.kernel_count();
     channels_.resize(static_cast<size_t>(g.channel_count()));
+    for (ChannelId c = 0; c < g.channel_count(); ++c) {
+      channels_[static_cast<size_t>(c)].producer = g.channel(c).src_kernel;
+      channels_[static_cast<size_t>(c)].consumer = g.channel(c).dst_kernel;
+    }
     kstate_.resize(static_cast<size_t>(n));
     core_of_ = mapping.core_of;
     cores_.resize(static_cast<size_t>(mapping.cores));
     res_.cores.resize(static_cast<size_t>(mapping.cores));
+    const size_t words = (cores_.size() + 63) / 64;
+    ready_cores_.assign(words, 0);
+    idle_cores_.assign(words, 0);
+    for (size_t c = 0; c < cores_.size(); ++c) set_bit(idle_cores_, c);
 
     for (KernelId k = 0; k < n; ++k) {
       Kernel& kn = g.kernel(k);
@@ -108,6 +148,7 @@ class Sim {
       st.out_channels_of_port.resize(kn.outputs().size());
       for (size_t o = 0; o < kn.outputs().size(); ++o)
         st.out_channels_of_port[o] = g.out_channels(k, static_cast<int>(o));
+      st.out_channels = g.out_channels(k);
 
       if (kn.is_source()) {
         SourceState ss;
@@ -124,6 +165,8 @@ class Sim {
         const int core = core_of_[static_cast<size_t>(k)];
         cores_[static_cast<size_t>(core)].kernels.push_back(k);
         res_.cores[static_cast<size_t>(core)].source_only = false;
+        st.core = core;
+        make_ready(k);  // never attempted yet
       }
       if (!kn.is_source() && g.out_channels(k).empty()) {
         st.is_sink = true;
@@ -136,19 +179,8 @@ class Sim {
     }
     res_.kernel_activity.assign(static_cast<size_t>(n), {0L, 0.0});
 
-    // Observability: an external recorder gets the full event stream; the
-    // trace_limit adapter alone gets an internal recorder sized to exactly
-    // the requested firing count (the ring keeps the oldest events, which
-    // is the "first N firings" semantic).
-    if (obs::kCompiledIn && (opt.recorder || opt.trace_limit > 0)) {
+    if (obs::kCompiledIn && opt.recorder) {
       rec_ = opt.recorder;
-      if (!rec_) {
-        obs::RecorderOptions ro;
-        ro.ring_capacity =
-            static_cast<std::size_t>(std::max<long>(opt.trace_limit, 1));
-        own_rec_ = std::make_unique<obs::Recorder>(ro);
-        rec_ = own_rec_.get();
-      }
       std::vector<std::string> names;
       names.reserve(static_cast<size_t>(n));
       for (KernelId k = 0; k < n; ++k) names.push_back(g.kernel(k).name());
@@ -157,8 +189,7 @@ class Sim {
       // The simulator is single-threaded: everything goes through ring 0,
       // which also keeps events chronological without sorting.
       ring_ = mapping.cores > 0 ? rec_->ring(0) : nullptr;
-      detail_ = opt.recorder ? ring_ : nullptr;
-      if (detail_) chan_hw_.assign(channels_.size(), 0);
+      if (ring_) chan_hw_.assign(channels_.size(), 0);
     }
 
     // Fault injection: copy + re-bind so the caller's injector can be
@@ -170,44 +201,58 @@ class Sim {
     }
   }
 
+  /// Event-driven: each wake instant settles in passes until nothing acts.
+  /// A pass first releases due source items, then gives one action to each
+  /// idle core holding a ready kernel, in ascending core order. That is the
+  /// order a sweep over every core would act in, minus the attempts that
+  /// could only fail (DESIGN.md "Simulator scheduling").
   SimResult run() {
     for (SourceState& s : sources_) advance_source(s);
 
-    std::priority_queue<double, std::vector<double>, std::greater<>> wake;
-    wake.push(0.0);
+    wake_.push(Wake{});
     double now = 0.0;
 
-    while (!wake.empty()) {
-      now = wake.top();
-      while (!wake.empty() && wake.top() <= now + 1e-15) wake.pop();
+    while (!wake_.empty()) {
+      now = wake_.top().t;
+      while (!wake_.empty() && wake_.top().t <= now + kEps) {
+        const Wake w = wake_.top();
+        wake_.pop();
+        on_wake(w, now);
+      }
 
-      // Keep an external recorder's ring drained so sessions longer than
-      // its capacity keep every event (single-threaded: we are both the
-      // producer and the collector). The internal trace_limit adapter is
-      // deliberately not polled — its full ring is the "first N" cutoff.
-      if (obs::kCompiledIn && detail_ && opt_.recorder) opt_.recorder->poll();
+      // Keep the recorder's ring drained so sessions longer than its
+      // capacity keep every event (single-threaded: we are both the
+      // producer and the collector).
+      if (obs::kCompiledIn && ring_) rec_->poll();
 
       bool acted = true;
       while (acted) {
         acted = false;
         // Application inputs release on their schedule; a blocked release
         // is retried and its lag recorded (the camera cannot wait).
-        for (SourceState& s : sources_) {
-          while (s.have_next && s.next.release_seconds <= now + 1e-15) {
+        for (size_t i = 0; i < sources_.size(); ++i) {
+          SourceState& s = sources_[i];
+          while (s.have_next && s.next.release_seconds <= now + kEps) {
             if (!push_source(s, now)) break;
             acted = true;
           }
-          if (s.have_next && s.next.release_seconds > now)
-            wake.push(s.next.release_seconds);
+          if (s.have_next && s.next.release_seconds > now &&
+              s.queued_release != s.next.release_seconds) {
+            s.queued_release = s.next.release_seconds;
+            wake_.push(Wake{s.queued_release, Wake::Kind::kSource,
+                            static_cast<int>(i)});
+          }
         }
-        // One action per idle core per settling pass.
-        for (size_t c = 0; c < cores_.size(); ++c) {
-          CoreState& core = cores_[c];
-          if (core.busy_until > now + 1e-15 || core.kernels.empty()) continue;
-          const double dur = core_action(static_cast<int>(c), now);
+        // A core readied by a lower core's action acts later in this pass;
+        // one readied by a higher core's action, in the next pass.
+        for (int c = next_due(0); c >= 0; c = next_due(c + 1)) {
+          const double dur = core_action(c, now);
           if (dur > 0.0) {
+            CoreState& core = cores_[static_cast<size_t>(c)];
             core.busy_until = now + dur;
-            wake.push(core.busy_until);
+            wake_.push(Wake{core.busy_until, Wake::Kind::kCore, c});
+            if (core.busy_until > now + kEps)
+              clear_bit(idle_cores_, static_cast<size_t>(c));
             acted = true;
           }
         }
@@ -217,18 +262,88 @@ class Sim {
           return std::move(res_);
         }
       }
-      // Delivery-delayed items become visible at instants no core/source
-      // wake covers; queue them so consumers retry then (after settling —
-      // a future avail cannot enable anything now).
-      for (const double t : pending_wakes_)
-        if (t > now + 1e-15) wake.push(t);
-      pending_wakes_.clear();
     }
     finish(now);
     return std::move(res_);
   }
 
  private:
+  static void set_bit(std::vector<std::uint64_t>& bits, size_t i) {
+    bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  static void clear_bit(std::vector<std::uint64_t>& bits, size_t i) {
+    bits[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+
+  /// Lowest idle core >= `from` holding a ready kernel, or -1.
+  [[nodiscard]] int next_due(int from) const {
+    const auto first = static_cast<size_t>(from) >> 6;
+    for (size_t w = first; w < ready_cores_.size(); ++w) {
+      std::uint64_t bits = ready_cores_[w] & idle_cores_[w];
+      if (w == first) bits &= ~std::uint64_t{0} << (from & 63);
+      if (bits != 0) return static_cast<int>(w * 64) + std::countr_zero(bits);
+    }
+    return -1;
+  }
+
+  void make_ready(KernelId k) {
+    KernelState& st = kstate_[static_cast<size_t>(k)];
+    if (st.ready || st.core < 0) return;
+    st.ready = true;
+    if (cores_[static_cast<size_t>(st.core)].ready_kernels++ == 0)
+      set_bit(ready_cores_, static_cast<size_t>(st.core));
+  }
+
+  void make_unready(KernelId k) {
+    KernelState& st = kstate_[static_cast<size_t>(k)];
+    st.ready = false;
+    if (--cores_[static_cast<size_t>(st.core)].ready_kernels == 0)
+      clear_bit(ready_cores_, static_cast<size_t>(st.core));
+  }
+
+  void ready_consumers(const std::vector<ChannelId>& cs) {
+    for (ChannelId c : cs)
+      make_ready(channels_[static_cast<size_t>(c)].consumer);
+  }
+
+  void on_wake(const Wake& w, double now) {
+    switch (w.kind) {
+      case Wake::Kind::kCore: {
+        CoreState& core = cores_[static_cast<size_t>(w.id)];
+        if (core.busy_until > now + kEps) break;  // a later action is running
+        set_bit(idle_cores_, static_cast<size_t>(w.id));
+        ready_consumers(core.pushed);
+        core.pushed.clear();
+        break;
+      }
+      case Wake::Kind::kSource: {
+        SourceState& s = sources_[static_cast<size_t>(w.id)];
+        if (s.queued_release == w.t)
+          s.queued_release = std::numeric_limits<double>::quiet_NaN();
+        break;
+      }
+      case Wake::Kind::kDelivery:
+        ready_consumers(kstate_[static_cast<size_t>(w.id)].out_channels);
+        break;
+      case Wake::Kind::kStart:
+        break;
+    }
+  }
+
+  /// An action's items become visible at `avail`: ready their consumers
+  /// now if that is this instant, else when the core's completion wake
+  /// pops, or (delivery-delayed items) a wake of their own.
+  void publish(CoreState& core, KernelId k, double now, double avail,
+               bool delayed) {
+    if (avail <= now + kEps) {
+      ready_consumers(core.pushed);
+      core.pushed.clear();
+    } else if (delayed) {
+      wake_.push(Wake{avail, Wake::Kind::kDelivery, k});
+      core.pushed.clear();
+    }
+  }
+
   [[nodiscard]] bool channel_has_space(ChannelId c) const {
     return static_cast<int>(channels_[static_cast<size_t>(c)].q.size()) <
            opt_.channel_capacity;
@@ -237,6 +352,20 @@ class Sim {
   [[nodiscard]] bool all_have_space(const std::vector<ChannelId>& cs) const {
     return std::all_of(cs.begin(), cs.end(),
                        [&](ChannelId c) { return channel_has_space(c); });
+  }
+
+  /// Append `item` to every channel in `outs`, copying into all but the
+  /// last, which takes it by move.
+  void push_all(const std::vector<ChannelId>& outs, Item& item, double avail,
+                long charge, double now) {
+    for (size_t i = 0; i < outs.size(); ++i) {
+      auto& q = channels_[static_cast<size_t>(outs[i])].q;
+      if (i + 1 < outs.size())
+        q.push_back(TimedItem{item, avail, charge});
+      else
+        q.push_back(TimedItem{std::move(item), avail, charge});
+      record_push(outs[i], now);
+    }
   }
 
   void advance_source(SourceState& s) {
@@ -262,18 +391,19 @@ class Sim {
         ++res_.faults_injected;
         record_fault(s.id, -1, now, pert);
       }
-      if (pert.delivery_delay_seconds > 0.0) {
+      if (pert.delivery_delay_seconds > 0.0)
         avail = now + pert.delivery_delay_seconds;
-        pending_wakes_.push_back(avail);
-      }
     }
     ++s.released;
-    for (ChannelId c : outs) {
-      channels_[static_cast<size_t>(c)].q.push_back(
-          TimedItem{s.next.item, avail, item_words(s.next.item)});
-      record_push(c, now);
-    }
-    if (obs::kCompiledIn && detail_) {
+    const bool data = is_data(s.next.item);
+    const bool end_of_frame =
+        !data && as_token(s.next.item).cls == tok::kEndOfFrame;
+    push_all(outs, s.next.item, avail, item_words(s.next.item), now);
+    if (avail <= now + kEps)
+      ready_consumers(outs);
+    else
+      wake_.push(Wake{avail, Wake::Kind::kDelivery, s.id});
+    if (obs::kCompiledIn && ring_) {
       obs::TraceEvent e;
       e.kind = obs::EventKind::kSourceRelease;
       e.t0 = e.t1 = now;
@@ -283,24 +413,24 @@ class Sim {
       e.aux1 =
           lag > opt_.lag_tolerance_periods * pixel_period_ + 1e-12 ? 1.0f
                                                                    : 0.0f;
-      detail_->emit(e);
+      ring_->emit(e);
     }
     // Frame tracking: the first pixel after an end-of-frame token opens
     // frame N; the token itself advances the source's frame cursor.
-    if (is_data(s.next.item)) {
+    if (data) {
       if (s.at_frame_start) {
         s.at_frame_start = false;
-        if (obs::kCompiledIn && detail_) {
+        if (obs::kCompiledIn && ring_) {
           obs::TraceEvent e;
           e.kind = obs::EventKind::kFrameStart;
           e.t0 = e.t1 = now;
           e.kernel = s.id;
           e.core = -1;
           e.method = static_cast<std::int32_t>(s.frame_idx);
-          detail_->emit(e);
+          ring_->emit(e);
         }
       }
-    } else if (as_token(s.next.item).cls == tok::kEndOfFrame) {
+    } else if (end_of_frame) {
       ++s.frame_idx;
       s.at_frame_start = true;
     }
@@ -308,10 +438,9 @@ class Sim {
     return true;
   }
 
-  /// Detail events (external recorder only): channel occupancy sample
-  /// after a push or pop.
+  /// Channel occupancy sample after a push.
   void record_push(ChannelId c, double now) {
-    if (!obs::kCompiledIn || !detail_) return;
+    if (!obs::kCompiledIn || !ring_) return;
     const auto occ =
         static_cast<long>(channels_[static_cast<size_t>(c)].q.size());
     if (occ > chan_hw_[static_cast<size_t>(c)])
@@ -322,13 +451,13 @@ class Sim {
     e.channel = c;
     e.core = -1;
     e.aux0 = static_cast<float>(occ);
-    detail_->emit(e);
+    ring_->emit(e);
   }
 
-  /// Instant marking a perturbed firing/release (external recorder only).
+  /// Instant marking a perturbed firing/release.
   void record_fault(KernelId k, int core, double now,
                     const fault::Perturbation& p) {
-    if (!obs::kCompiledIn || !detail_) return;
+    if (!obs::kCompiledIn || !ring_) return;
     obs::TraceEvent e;
     e.kind = obs::EventKind::kFaultInject;
     e.t0 = e.t1 = now;
@@ -337,46 +466,44 @@ class Sim {
     e.aux0 = static_cast<float>(p.time_scale);
     e.aux1 = static_cast<float>(p.stall_seconds);
     e.aux2 = static_cast<float>(p.delivery_delay_seconds);
-    detail_->emit(e);
+    ring_->emit(e);
   }
 
   void record_pop(ChannelId c, int core, double now) {
-    if (!obs::kCompiledIn || !detail_) return;
+    if (!obs::kCompiledIn || !ring_) return;
     obs::TraceEvent e;
     e.kind = obs::EventKind::kChannelPop;
     e.t0 = e.t1 = now;
     e.channel = c;
     e.core = core;
     e.aux0 = static_cast<float>(channels_[static_cast<size_t>(c)].q.size());
-    detail_->emit(e);
+    ring_->emit(e);
   }
 
   /// Move as many pending emissions of kernel `k` to channels as fit,
   /// marking them with a provisional +inf availability that retime_recent
   /// replaces with the action's end time. Returns words written.
-  long drain_pending(KernelId k, double now) {
+  long drain_pending(KernelId k, CoreState& core, double now) {
     constexpr double kProvisional = std::numeric_limits<double>::infinity();
     KernelState& st = kstate_[static_cast<size_t>(k)];
     long words = 0;
     while (!st.pending.empty()) {
-      const Emission& e = st.pending.front();
+      Emission& e = st.pending.front();
       const auto& outs = st.out_channels_of_port[static_cast<size_t>(e.port)];
       if (!all_have_space(outs)) break;
       const long charge =
           e.charge_words >= 0 ? e.charge_words : item_words(e.item);
-      for (ChannelId c : outs) {
-        channels_[static_cast<size_t>(c)].q.push_back(
-            TimedItem{e.item, kProvisional, charge});
-        words += charge;
-        record_push(c, now);
-      }
+      push_all(outs, e.item, kProvisional, charge, now);
+      words += charge * static_cast<long>(outs.size());
+      core.pushed.insert(core.pushed.end(), outs.begin(), outs.end());
       st.pending.pop_front();
     }
     return words;
   }
 
   /// Attempt one action on core `c` at time `now`; returns its duration in
-  /// seconds (0 = nothing to do).
+  /// seconds (0 = nothing to do). Only ready kernels are attempted, in
+  /// round-robin order from the core's cursor.
   double core_action(int c, double now) {
     CoreState& core = cores_[static_cast<size_t>(c)];
     CoreStats& stats = res_.cores[static_cast<size_t>(c)];
@@ -385,18 +512,20 @@ class Sim {
       const size_t idx = (core.rr + off) % n;
       const KernelId k = core.kernels[idx];
       KernelState& st = kstate_[static_cast<size_t>(k)];
+      if (!st.ready) continue;
       Kernel& kn = g_.kernel(k);
 
       // Deliver back-pressured output first; a kernel may keep firing
       // while its undelivered items fit its modeled output buffering.
       if (!st.pending.empty()) {
-        const long words = drain_pending(k, now);
+        const long words = drain_pending(k, core, now);
         if (words > 0) {
           const double cycles = words * opt_.machine.write_cost;
           const double dur = cycles / opt_.machine.clock_hz;
           retime_recent(k, now + dur);
+          publish(core, k, now, now + dur, false);
           stats.write_cycles += cycles;
-          if (obs::kCompiledIn && detail_) {
+          if (obs::kCompiledIn && ring_) {
             obs::TraceEvent e;
             e.kind = obs::EventKind::kWrite;
             e.t0 = now;
@@ -404,44 +533,53 @@ class Sim {
             e.aux2 = static_cast<float>(cycles);
             e.kernel = k;
             e.core = c;
-            detail_->emit(e);
+            ring_->emit(e);
           }
           core.rr = (idx + 1) % n;
           last_action_ = std::max(last_action_, now + dur);
           return dur;
         }
-        if (static_cast<long>(st.pending.size()) >= kn.pending_capacity())
+        if (static_cast<long>(st.pending.size()) >= kn.pending_capacity()) {
+          make_unready(k);
           continue;  // stalled on insufficient output buffering (Fig. 9(b))
+        }
       }
 
       FireDecision& d = fire_scratch_;
+      ++fire_decisions_;
       decide_fire_into(
           kn, st.connected_inputs,
           [&](int port) -> const Item* {
             const ChannelId ch = st.in_channel_of_port[static_cast<size_t>(port)];
             if (ch < 0) return nullptr;
             const auto& q = channels_[static_cast<size_t>(ch)].q;
-            if (q.empty() || q.front().avail > now + 1e-15) return nullptr;
+            if (q.empty() || q.front().avail > now + kEps) return nullptr;
             return &q.front().item;
           },
           d);
-      if (!d.fires()) continue;
+      if (!d.fires()) {
+        make_unready(k);
+        continue;
+      }
 
-      // Pop the consumed items.
-      ExecContext ctx;
-      std::vector<Item> popped;
-      popped.reserve(d.pop_inputs.size());
+      // Pop the consumed items; a producer holding undelivered output may
+      // now have room for it.
+      ExecContext& ctx = ctx_;
+      ctx.reset();
+      popped_.clear();
       long read_words = 0;
       for (int p : d.pop_inputs) {
         const ChannelId ch = st.in_channel_of_port[static_cast<size_t>(p)];
-        auto& q = channels_[static_cast<size_t>(ch)].q;
-        read_words += q.front().charge;
-        popped.push_back(std::move(q.front().item));
-        q.pop_front();
+        ChannelState& cs = channels_[static_cast<size_t>(ch)];
+        read_words += cs.q.front().charge;
+        popped_.push_back(std::move(cs.q.front().item));
+        cs.q.pop_front();
         record_pop(ch, c, now);
+        if (!kstate_[static_cast<size_t>(cs.producer)].pending.empty())
+          make_ready(cs.producer);
       }
       for (size_t i = 0; i < d.pop_inputs.size(); ++i)
-        ctx.bind_input(d.pop_inputs[static_cast<size_t>(i)], &popped[i]);
+        ctx.bind_input(d.pop_inputs[i], &popped_[i]);
 
       long run_cycles = 0;
       if (d.kind == FireDecision::Kind::Method) {
@@ -472,7 +610,7 @@ class Sim {
       const double base_cycles = opt_.machine.context_switch +
                                  read_words * opt_.machine.read_cost +
                                  static_cast<double>(run_cycles);
-      const long write_words = drain_pending(k, now);  // retimed below
+      const long write_words = drain_pending(k, core, now);  // retimed below
       const double cycles =
           base_cycles + write_words * opt_.machine.write_cost;
 
@@ -493,9 +631,9 @@ class Sim {
                        pert.stall_seconds * opt_.machine.clock_hz;
       }
       const double dur = (cycles + fault_cycles) / opt_.machine.clock_hz;
-      retime_recent(k, now + dur + pert.delivery_delay_seconds);
-      if (pert.delivery_delay_seconds > 0.0)
-        pending_wakes_.push_back(now + dur + pert.delivery_delay_seconds);
+      const double avail = now + dur + pert.delivery_delay_seconds;
+      retime_recent(k, avail);
+      publish(core, k, now, avail, pert.delivery_delay_seconds > 0.0);
 
       stats.switch_cycles += opt_.machine.context_switch;
       stats.read_cycles += read_words * opt_.machine.read_cost;
@@ -508,20 +646,21 @@ class Sim {
       res_.kernel_activity[static_cast<size_t>(k)].second +=
           cycles + fault_cycles;
       if (st.is_sink)
-        for (const Item& it : popped)
+        for (const Item& it : popped_)
           if (is_token(it) && as_token(it).cls == tok::kEndOfFrame) {
             res_.sink_frame_times[static_cast<size_t>(st.sink_index)]
                 .second.push_back(now + dur);
-            if (obs::kCompiledIn && detail_) {
+            if (obs::kCompiledIn && ring_) {
               obs::TraceEvent e;
               e.kind = obs::EventKind::kFrameEnd;
               e.t0 = e.t1 = now + dur;
               e.kernel = k;
               e.core = c;
               e.method = static_cast<std::int32_t>(as_token(it).payload);
-              detail_->emit(e);
+              ring_->emit(e);
             }
           }
+      popped_.clear();
       if (obs::kCompiledIn && ring_) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::kFiring;
@@ -546,13 +685,11 @@ class Sim {
   /// action-end time (they sit at the back of their queues).
   void retime_recent(KernelId k, double avail) {
     const KernelState& st = kstate_[static_cast<size_t>(k)];
-    for (const auto& outs : st.out_channels_of_port)
-      for (ChannelId c : outs) {
-        auto& q = channels_[static_cast<size_t>(c)].q;
-        for (auto it = q.rbegin();
-             it != q.rend() && std::isinf(it->avail); ++it)
-          it->avail = avail;
-      }
+    for (ChannelId c : st.out_channels) {
+      auto& q = channels_[static_cast<size_t>(c)].q;
+      for (auto it = q.rbegin(); it != q.rend() && std::isinf(it->avail); ++it)
+        it->avail = avail;
+    }
   }
 
   void finish(double now) {
@@ -574,21 +711,11 @@ class Sim {
                         res_.max_input_lag_seconds <= tolerance + 1e-12;
 
     if (obs::kCompiledIn && rec_) {
-      const obs::Trace& t = rec_->finish_session(res_.sim_seconds);
-      // trace_limit adapter: the legacy FiringRecord timeline is the first
-      // N firing spans of the obs trace.
-      if (opt_.trace_limit > 0) {
-        for (const obs::TraceEvent& e : t.events) {
-          if (e.kind != obs::EventKind::kFiring) continue;
-          if (static_cast<long>(res_.trace.size()) >= opt_.trace_limit)
-            break;
-          res_.trace.push_back(
-              FiringRecord{e.t0, e.t1 - e.t0, e.core, e.kernel, e.method});
-        }
-      }
+      rec_->finish_session(res_.sim_seconds);
       obs::MetricsRegistry& m = rec_->metrics();
       m.gauge("sim.seconds").set(res_.sim_seconds);
       m.counter("sim.total_firings").add(res_.total_firings);
+      m.counter("sim.fire_decisions").add(fire_decisions_);
       m.counter("sim.delayed_releases").add(res_.delayed_releases);
       m.gauge("sim.max_input_lag_seconds").set(res_.max_input_lag_seconds);
       m.gauge("sim.realtime_met").set(res_.realtime_met ? 1.0 : 0.0);
@@ -610,22 +737,29 @@ class Sim {
   std::vector<int> core_of_;
   double pixel_period_ = 1.0;
   double last_action_ = 0.0;
-  FireDecision fire_scratch_;  // reused across steps; see decide_fire_into
+
+  /// Pending wake instants, earliest first.
+  std::priority_queue<Wake, std::vector<Wake>, std::greater<>> wake_;
+  /// Per-core bitsets: holds a ready kernel / not busy at the current
+  /// instant. A pass visits the cores set in both.
+  std::vector<std::uint64_t> ready_cores_;
+  std::vector<std::uint64_t> idle_cores_;
+  long fire_decisions_ = 0;
+
+  // Reused across firings so the hot loop does not allocate once warm.
+  FireDecision fire_scratch_;
+  ExecContext ctx_;
+  std::vector<Item> popped_;
 
   /// Fault injection (see ctor): a bound copy of the caller's injector.
   fault::Injector inj_;
   bool faults_ = false;
-  /// Wake instants for delivery-delayed items (drained by run()).
-  std::vector<double> pending_wakes_;
 
-  /// Observability (see ctor): rec_ is the session sink (external or the
-  /// internal trace_limit adapter); ring_ receives firing spans; detail_
-  /// is non-null only for an external recorder and additionally receives
-  /// write spans, releases, and channel occupancy samples.
+  /// Observability (see ctor): null when no recorder is attached. Every
+  /// event goes through ring_: firing and write spans, releases, faults,
+  /// channel occupancy samples.
   obs::Recorder* rec_ = nullptr;
-  std::unique_ptr<obs::Recorder> own_rec_;
   obs::EventRing* ring_ = nullptr;
-  obs::EventRing* detail_ = nullptr;
   std::vector<long> chan_hw_;
 };
 

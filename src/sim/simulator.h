@@ -40,15 +40,11 @@ struct SimOptions {
   double lag_tolerance_periods = 1.0;
   /// Abort after this many simulated firings (runaway guard).
   long max_firings = 500'000'000;
-  /// Record the first `trace_limit` firings (0 = off) into
-  /// SimResult::trace. A thin adapter over the obs trace layer: the
-  /// simulator spins up an internal Recorder sized to `trace_limit` and
-  /// converts its firing spans back to FiringRecords after the run.
-  long trace_limit = 0;
   /// Observability sink (see obs/recorder.h). Null = tracing off. When
   /// set, every firing/write span (with its modeled run/read/write cycle
   /// breakdown), input release, and channel push/pop lands in the
-  /// recorder on the modeled clock, and `trace_limit` converts from it.
+  /// recorder on the modeled clock (`bpc --firings N` prints the first N
+  /// firing spans).
   obs::Recorder* recorder = nullptr;
   /// Fault injection (see fault/injector.h). Null = no faults. The sim
   /// copies and re-binds the injector against this run's graph/placement,
@@ -57,15 +53,6 @@ struct SimOptions {
   /// delivery delay pushes output availability past the firing's end.
   /// Faults never touch values, only the clock.
   const fault::Injector* injector = nullptr;
-};
-
-/// One traced firing: when, where, what (for timeline inspection).
-struct FiringRecord {
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
-  int core = -1;
-  KernelId kernel = -1;
-  int method = -1;  ///< -1 for token forwards and pending drains
 };
 
 /// Per-core activity breakdown (the run/read/write bars of Fig. 13).
@@ -110,8 +97,6 @@ struct SimResult {
   /// Firings that blew their declared cycle bound (first 64 recorded).
   long resource_exception_count = 0;
   std::vector<ResourceException> resource_exceptions;
-  /// Firing timeline, when SimOptions::trace_limit > 0.
-  std::vector<FiringRecord> trace;
 
   /// End-of-frame arrival times at each sink kernel (kernels with no
   /// outputs), in order — the throughput measurement of §IV-D: in the

@@ -332,7 +332,6 @@ int main(int argc, char** argv) {
       obs::Recorder rec;
       SimOptions sopt;
       sopt.machine = opt.machine;
-      sopt.trace_limit = a.firings;
       sopt.recorder = &rec;
       sopt.injector = inj ? &*inj : nullptr;
       const SimResult r = simulate(g, app.mapping, sopt);
@@ -369,14 +368,14 @@ int main(int argc, char** argv) {
                       r.kernel_activity[static_cast<size_t>(k)].first);
         }
       }
-      for (const FiringRecord& f : r.trace)
+      for (const obs::TraceEvent& f : obs::first_firings(
+               rec.trace(), static_cast<std::size_t>(std::max(0L, a.firings))))
         std::printf("  t=%9.3fus core %2d  %-24s %s (%.2fus)\n",
-                    f.start_seconds * 1e6, f.core,
-                    g.kernel(f.kernel).name().c_str(),
+                    f.t0 * 1e6, f.core, g.kernel(f.kernel).name().c_str(),
                     f.method >= 0
                         ? g.kernel(f.kernel).methods()[static_cast<size_t>(f.method)].name.c_str()
                         : "(forward)",
-                    f.duration_seconds * 1e6);
+                    (f.t1 - f.t0) * 1e6);
       fault::DegradationReport deg;
       bool have_deg = false;
       if (obs::kCompiledIn && sim_owns_degradation &&

@@ -124,6 +124,10 @@ struct TagCase {
   const char* tag;
 };
 
+// Names each case by its tag; gtest would otherwise print the pointer's
+// bytes, which change with every run.
+void PrintTo(const TagCase& c, std::ostream* os) { *os << c.tag; }
+
 class Fig11Configs : public ::testing::TestWithParam<TagCase> {};
 
 TEST_P(Fig11Configs, CompileRunMatchReference) {

@@ -4,10 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "core/firing.h"
 #include "kernels/elementwise.h"
 #include "kernels/histogram.h"
 #include "test_util.h"
+
+// Every allocation in this binary goes through these, so a test can count
+// the heap allocations of a region of code.
+namespace {
+long g_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// All out of line, so the compiler sees new paired with delete rather than
+// malloc with delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace bpp {
 namespace {
@@ -168,6 +189,35 @@ TEST(Firing, ForwardPayloadPreserved) {
   const FireDecision d = decide_fire(*sc, {0}, h);
   ASSERT_EQ(d.kind, FireDecision::Kind::Forward);
   EXPECT_EQ(d.payload, 17);
+}
+
+TEST(Firing, WarmDecisionsDoNotAllocate) {
+  // Both engines decide on every scheduling step and most decisions fail,
+  // so a decision object reused across steps must stop allocating once
+  // its vectors have grown: not-ready and forward decisions alike.
+  auto sub = make_subtract("sub");
+  sub->ensure_configured();
+  const std::vector<int> connected{0, 1};
+  Item d0 = px(1);
+  Item eol = token(tok::kEndOfLine), eol2 = token(tok::kEndOfLine);
+  Heads not_ready{{&d0, nullptr}};
+  Heads forward{{&eol, &eol2}};
+  FireDecision d;
+  decide_fire_into(*sub, connected, forward, d);  // warm-up
+  ASSERT_EQ(d.kind, FireDecision::Kind::Forward);
+
+  const long before = g_allocations;
+  bool all_not_ready = true, all_forward = true;
+  for (int i = 0; i < 100; ++i) {
+    decide_fire_into(*sub, connected, not_ready, d);
+    all_not_ready = all_not_ready && !d.fires();
+    decide_fire_into(*sub, connected, forward, d);
+    all_forward = all_forward && d.kind == FireDecision::Kind::Forward;
+  }
+  const long allocations = g_allocations - before;
+  EXPECT_TRUE(all_not_ready);
+  EXPECT_TRUE(all_forward);
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

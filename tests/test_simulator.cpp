@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <type_traits>
+
 #include "apps/pipelines.h"
 #include "compiler/pipeline.h"
+#include "fault/injector.h"
+#include "fault/plan.h"
 #include "kernels/kernels.h"
 #include "obs/recorder.h"
 #include "sim/simulator.h"
@@ -211,68 +218,239 @@ TEST(Simulator, MappingMustCoverGraph) {
 }
 
 
-TEST(Simulator, TraceRecordsFiringTimeline) {
-  Graph g = apps::histogram_app({8, 6}, 50.0, 1);
+/// Simulate on the default machine with a recorder attached.
+SimResult simulate_recorded(Graph& g, const Mapping& m, obs::Recorder& rec) {
   SimOptions opt;
-  opt.trace_limit = 10;
-  const SimResult r = simulate(g, map_one_to_one(g), opt);
-  ASSERT_TRUE(r.completed);
-  ASSERT_EQ(r.trace.size(), 10u);
+  opt.recorder = &rec;
+  return simulate(g, m, opt);
+}
+
+TEST(Simulator, FirstFiringsFormAChronologicalTimeline) {
+  // `bpc --firings N` prints obs::first_firings of the simulator's trace.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  Graph g = apps::histogram_app({8, 6}, 50.0, 1);
+  obs::Recorder rec;
+  ASSERT_TRUE(simulate_recorded(g, map_one_to_one(g), rec).completed);
+  const auto firings = obs::first_firings(rec.trace(), 10);
+  ASSERT_EQ(firings.size(), 10u);
   double prev = 0.0;
-  for (const FiringRecord& f : r.trace) {
-    EXPECT_GE(f.start_seconds, prev - 1e-12);  // chronological
-    prev = f.start_seconds;
-    EXPECT_GT(f.duration_seconds, 0.0);
+  for (const obs::TraceEvent& f : firings) {
+    EXPECT_EQ(f.kind, obs::EventKind::kFiring);
+    EXPECT_GE(f.t0, prev - 1e-12);  // chronological
+    prev = f.t0;
+    EXPECT_GT(f.t1 - f.t0, 0.0);
     EXPECT_GE(f.core, 0);
     EXPECT_GE(f.kernel, 0);
     EXPECT_LT(f.kernel, g.kernel_count());
   }
-  // Tracing off by default.
-  Graph h = apps::histogram_app({8, 6}, 50.0, 1);
-  EXPECT_TRUE(simulate(h, map_one_to_one(h), SimOptions{}).trace.empty());
+  EXPECT_TRUE(obs::first_firings(rec.trace(), 0).empty());
 }
 
-TEST(Simulator, TraceLimitMatchesRecorderFirings) {
-  // trace_limit is a thin adapter over the obs trace layer: the FiringRecords
-  // must equal the first N firing spans an external Recorder sees.
+TEST(Simulator, FirstFiringsIndependentOfRingCapacity) {
+  // The simulator drains the recorder at every wake, so a ring far smaller
+  // than the run still yields the same first firings as the default ring.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Graph a = apps::histogram_app({8, 6}, 50.0, 1);
   const Mapping m = map_one_to_one(a);
-  SimOptions lim;
-  lim.trace_limit = 12;
-  const SimResult ra = simulate(a, m, lim);
-  ASSERT_TRUE(ra.completed);
-  ASSERT_EQ(ra.trace.size(), 12u);
+  obs::Recorder full;
+  ASSERT_TRUE(simulate_recorded(a, m, full).completed);
 
   Graph b = apps::histogram_app({8, 6}, 50.0, 1);
-  obs::Recorder rec;
-  SimOptions full;
-  full.recorder = &rec;
-  ASSERT_TRUE(simulate(b, m, full).completed);
-  std::vector<obs::TraceEvent> firings;
-  for (const obs::TraceEvent& e : rec.trace().events)
-    if (e.kind == obs::EventKind::kFiring) firings.push_back(e);
-  ASSERT_GE(firings.size(), ra.trace.size());
+  obs::RecorderOptions small_ring;
+  small_ring.ring_capacity = 32;
+  obs::Recorder small(small_ring);
+  ASSERT_TRUE(simulate_recorded(b, m, small).completed);
+  ASSERT_EQ(small.trace().dropped_events, 0u);
+  ASSERT_GT(small.trace().events.size(), 4 * small_ring.ring_capacity);
 
-  for (size_t i = 0; i < ra.trace.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ra.trace[i].start_seconds, firings[i].t0) << i;
-    EXPECT_DOUBLE_EQ(ra.trace[i].duration_seconds,
-                     firings[i].t1 - firings[i].t0)
-        << i;
-    EXPECT_EQ(ra.trace[i].core, firings[i].core) << i;
-    EXPECT_EQ(ra.trace[i].kernel, firings[i].kernel) << i;
-    EXPECT_EQ(ra.trace[i].method, firings[i].method) << i;
+  const auto fa = obs::first_firings(full.trace(), 12);
+  const auto fb = obs::first_firings(small.trace(), 12);
+  ASSERT_EQ(fa.size(), 12u);
+  ASSERT_EQ(fb.size(), 12u);
+  for (size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_DOUBLE_EQ(fa[i].t0, fb[i].t0) << i;
+    EXPECT_DOUBLE_EQ(fa[i].t1, fb[i].t1) << i;
+    EXPECT_EQ(fa[i].core, fb[i].core) << i;
+    EXPECT_EQ(fa[i].kernel, fb[i].kernel) << i;
+    EXPECT_EQ(fa[i].method, fb[i].method) << i;
   }
 }
 
-TEST(Simulator, TraceLimitLargerThanRunKeepsEverything) {
+TEST(Simulator, FirstFiringsLargerThanRunKeepsEverything) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Graph g = apps::histogram_app({8, 6}, 50.0, 1);
-  SimOptions opt;
-  opt.trace_limit = 20'000;  // far more than the run fires
-  const SimResult r = simulate(g, map_one_to_one(g), opt);
+  obs::Recorder rec;
+  const SimResult r = simulate_recorded(g, map_one_to_one(g), rec);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(static_cast<long>(r.trace.size()), r.total_firings);
+  EXPECT_EQ(static_cast<long>(obs::first_firings(rec.trace(), 20'000).size()),
+            r.total_firings);
 }
 
+TEST(Simulator, FewFireDecisionsPerFiring) {
+  // The event-driven loop retries a kernel only when something it reads
+  // changed; a sweep over every idle core costs ~19 decisions per firing
+  // on this app.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  CompiledApp app = compile(apps::figure1_app({48, 36}, 180.0, 2, 64));
+  obs::Recorder rec;
+  SimOptions opt;
+  opt.machine = app.options.machine;
+  opt.recorder = &rec;
+  const SimResult r = simulate(app.graph, app.mapping, opt);
+  ASSERT_TRUE(r.completed);
+  const auto decisions = static_cast<double>(
+      rec.metrics().counter("sim.fire_decisions").value());
+  EXPECT_EQ(rec.metrics().counter("sim.total_firings").value(),
+            r.total_firings);
+  EXPECT_GE(decisions, static_cast<double>(r.total_firings));
+  EXPECT_LE(decisions / static_cast<double>(r.total_firings), 3.0);
+}
+
+// ---- golden digests ---------------------------------------------------------
+// FNV-1a over every SimResult field and every recorded trace event. The
+// constants were recorded with the sweep-based simulator this event-driven
+// one replaced; any change to an action, a sum or the event order shows.
+
+class Fnv1a {
+ public:
+  void bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
+  }
+  template <class T>
+  void pod(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    bytes(&v, sizeof v);
+  }
+  void str(const std::string& s) {
+    pod(s.size());
+    bytes(s.data(), s.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void digest_result(const SimResult& r, Fnv1a& h) {
+  h.pod(r.completed);
+  h.pod(r.deadlocked);
+  h.pod(r.realtime_met);
+  h.pod(r.sim_seconds);
+  h.pod(r.input_span_seconds);
+  h.pod(r.max_input_lag_seconds);
+  h.pod(r.delayed_releases);
+  h.pod(r.total_firings);
+  h.pod(r.faults_injected);
+  h.pod(r.cores.size());
+  for (const CoreStats& c : r.cores) {
+    h.pod(c.run_cycles);
+    h.pod(c.read_cycles);
+    h.pod(c.write_cycles);
+    h.pod(c.switch_cycles);
+    h.pod(c.firings);
+    h.pod(c.source_only);
+  }
+  h.str(r.diagnostics);
+  h.pod(r.resource_exception_count);
+  h.pod(r.resource_exceptions.size());
+  for (const ResourceException& e : r.resource_exceptions) {
+    h.str(e.kernel);
+    h.str(e.method);
+    h.pod(e.used_cycles);
+    h.pod(e.bound_cycles);
+    h.pod(e.at_seconds);
+  }
+  h.pod(r.sink_frame_times.size());
+  for (const auto& [k, times] : r.sink_frame_times) {
+    h.pod(k);
+    h.pod(times.size());
+    for (double t : times) h.pod(t);
+  }
+  h.pod(r.kernel_activity.size());
+  for (const auto& [firings, cycles] : r.kernel_activity) {
+    h.pod(firings);
+    h.pod(cycles);
+  }
+}
+
+void digest_trace(const obs::Trace& t, Fnv1a& h) {
+  h.pod(t.duration_seconds);
+  h.pod(t.dropped_events);
+  h.pod(t.events.size());
+  for (const obs::TraceEvent& e : t.events) {
+    h.pod(e.t0);
+    h.pod(e.t1);
+    h.pod(e.aux0);
+    h.pod(e.aux1);
+    h.pod(e.aux2);
+    h.pod(e.kernel);
+    h.pod(e.core);
+    h.pod(e.method);
+    h.pod(e.channel);
+    h.pod(e.kind);
+  }
+}
+
+/// kCongested (traced) runs on a 3x slower clock with one-item channels,
+/// so back-pressure and input lag drive the schedule.
+enum class DigestMode { kPlain, kRecorded, kFaulted, kCongested };
+
+std::uint64_t sim_digest(const std::string& name, DigestMode mode) {
+  const CompiledApp app =
+      compile(apps::named_app(name, {32, 24}, 150.0, 2, 16));
+  Graph g = app.graph.clone();
+  obs::Recorder rec;
+  std::optional<fault::Injector> inj;
+  SimOptions opt;
+  opt.machine = app.options.machine;
+  if (mode != DigestMode::kPlain) opt.recorder = &rec;
+  if (mode == DigestMode::kCongested) {
+    opt.machine.clock_hz /= 3.0;
+    opt.channel_capacity = 1;
+  }
+  if (mode == DigestMode::kFaulted) {
+    const fault::FaultPlan plan =
+        fault::load_plan(BPP_SOURCE_DIR "/examples/faults/overload.json");
+    inj.emplace(plan, plan.seed);
+    opt.injector = &*inj;
+  }
+  const SimResult r = simulate(g, app.mapping, opt);
+  Fnv1a h;
+  digest_result(r, h);
+  if (mode != DigestMode::kPlain) digest_trace(rec.trace(), h);
+  return h.value();
+}
+
+struct Golden {
+  const char* app;
+  std::uint64_t plain, recorded, faulted, congested;
+};
+
+TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const Golden golden[] = {
+      {"fig1", 0x5a786405c91fcc5fULL, 0x6ea729417ade5332ULL,
+       0x17077d4a9ea2f552ULL, 0xa706496045218debULL},
+      {"analytics", 0xdcbf8d0988e544d8ULL, 0x6218c7e70945a882ULL,
+       0xc875d6f107c57788ULL, 0xac10e88b38a3abefULL},
+      {"parallel-buffer", 0xdb5b1dcfbe2a1a4dULL, 0x5d9f23a7f145a2e0ULL,
+       0xfcc4f69237e0e093ULL, 0x7d4aff14020aded6ULL},
+      {"multi-conv", 0xc4422f102fd0f87bULL, 0xd58475723faccf86ULL,
+       0xa2e85f67aeab5269ULL, 0x20bc6e0a2c79d03aULL},
+      {"feedback", 0x28081aeee081c3aeULL, 0x5187517c8b875106ULL,
+       0x5fa126495b015081ULL, 0xf127e487a484d020ULL},
+      {"motion", 0x7b600ad3833cf6ffULL, 0xbcd5223961ced408ULL,
+       0x8f9833445c1b58f7ULL, 0xec8bc9f998b3acd7ULL},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.app);
+    EXPECT_EQ(sim_digest(g.app, DigestMode::kPlain), g.plain);
+    EXPECT_EQ(sim_digest(g.app, DigestMode::kRecorded), g.recorded);
+    EXPECT_EQ(sim_digest(g.app, DigestMode::kFaulted), g.faulted);
+    EXPECT_EQ(sim_digest(g.app, DigestMode::kCongested), g.congested);
+  }
+}
 
 TEST(Simulator, SinkFrameTimesTrackThroughput) {
   // §IV-D: "communication delays will only increase the latency for the
