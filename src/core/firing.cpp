@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "core/graph.h"
 #include "core/kernel.h"
 
 namespace bpp {
@@ -114,6 +115,43 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
     if (feeds_data_method(p)) continue;
     if (try_group(std::span<const int>(&p, 1), {})) return;
   }
+}
+
+KernelPorts wire_kernel(Graph& g, KernelId k) {
+  Kernel& kn = g.kernel(k);
+  KernelPorts p;
+  p.in_channel.assign(kn.inputs().size(), -1);
+  for (size_t i = 0; i < kn.inputs().size(); ++i)
+    if (auto c = g.in_channel(k, static_cast<int>(i))) {
+      p.in_channel[i] = *c;
+      p.connected.push_back(static_cast<int>(i));
+    }
+  p.out_channels.resize(kn.outputs().size());
+  for (size_t o = 0; o < kn.outputs().size(); ++o)
+    p.out_channels[o] = g.out_channels(k, static_cast<int>(o));
+  p.outs = g.out_channels(k);
+  p.is_sink = !kn.is_source() && p.outs.empty();
+  kn.init();
+  for (Emission& e : kn.initial_emissions()) p.pending.push_back(std::move(e));
+  return p;
+}
+
+long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
+          ExecContext& ctx, EmissionQueue& pending) {
+  ctx.reset();
+  for (size_t i = 0; i < d.pop_inputs.size(); ++i)
+    ctx.bind_input(d.pop_inputs[i], &popped[i]);
+  long run_cycles = 2;
+  if (d.kind == FireDecision::Kind::Method) {
+    if (d.token >= 0) ctx.set_trigger_token(d.token, d.payload);
+    k.invoke(d.method, ctx);
+    run_cycles = k.methods()[static_cast<size_t>(d.method)].res.cycles;
+  } else {
+    for (int o : d.forward_outputs)
+      ctx.emit(o, ControlToken{d.token, d.payload});
+  }
+  for (Emission& e : ctx.emissions()) pending.push_back(std::move(e));
+  return run_cycles;
 }
 
 FireDecision decide_fire(const Kernel& k, const std::vector<int>& connected,

@@ -14,16 +14,27 @@
 //
 // Kernels with data-dependent consumption (round-robin joins) override
 // Kernel::decide_custom instead.
+//
+// Also the firing step around the decision that both engines share
+// (DESIGN.md §4.6): port wiring, invoke-or-forward, the pending-emission
+// drain, and sink/source frame bookkeeping. Each engine keeps only its
+// clock, its channel storage and its timing or threading policy.
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/exec_context.h"
 #include "core/token.h"
 
 namespace bpp {
 
+class Graph;
 class Kernel;
+using KernelId = int;   // as in core/graph.h
+using ChannelId = int;  // as in core/graph.h
 
 /// Non-owning view of the head items of a kernel's input channels:
 /// `head(port)` returns the item at the head of input `port`'s FIFO, or
@@ -85,5 +96,103 @@ struct FireDecision {
 /// Kernel::decide_custom override allocates only if it does so itself.
 void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
                       const HeadFn& head, FireDecision& out);
+
+/// FIFO of a kernel's emissions not yet on a channel (output back-pressure,
+/// Fig. 9(b)). Unlike std::deque, which frees and re-allocates a block every
+/// dozen items cycled through it, it stops allocating once its capacity
+/// covers the longest backlog.
+class EmissionQueue {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == q_.size(); }
+  [[nodiscard]] std::size_t size() const { return q_.size() - head_; }
+  Emission& front() { return q_[head_]; }
+  void push_back(Emission&& e) { q_.push_back(std::move(e)); }
+  /// Compacts once half the slots are consumed: amortized O(1).
+  void pop_front() {
+    if (++head_ * 2 < q_.size()) return;
+    q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+
+ private:
+  std::vector<Emission> q_;
+  std::size_t head_ = 0;
+};
+
+/// One kernel's channel wiring for an engine run. The ids index the
+/// engine's own channel storage.
+struct KernelPorts {
+  std::vector<int> connected;         ///< input ports with a live channel
+  std::vector<ChannelId> in_channel;  ///< per input port; -1 if unconnected
+  std::vector<std::vector<ChannelId>> out_channels;  ///< per output port
+  std::vector<ChannelId> outs;  ///< every output channel, flattened
+  bool is_sink = false;         ///< a non-source kernel with no outputs
+  EmissionQueue pending;
+};
+
+/// Wire kernel `k` of `g`, reset it (init()) and stage its initial
+/// emissions on `pending`.
+[[nodiscard]] KernelPorts wire_kernel(Graph& g, KernelId k);
+
+/// Fire `k` on decision `d` (Method or Forward): bind `popped`, the items
+/// popped from d.pop_inputs in that order, run the decided method with its
+/// trigger token or forward the token, and move the emissions onto
+/// `pending`. Returns the method's declared run cycles, or 2 for a forward
+/// (the token-forwarding FSM step). `ctx` keeps the firing's dynamic-cycle
+/// report.
+long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
+          ExecContext& ctx, EmissionQueue& pending);
+
+/// Move `p.pending` onto its channels, in order, while every channel of the
+/// head emission's port has room: `has_space(outs)` checks a port's
+/// channels, `push(outs, emission)` pushes to them. Returns true when
+/// nothing is left pending. A template, not a std::function: it runs on
+/// every hot path of both engines.
+template <class HasSpace, class Push>
+bool drain_pending(KernelPorts& p, HasSpace&& has_space, Push&& push) {
+  while (!p.pending.empty()) {
+    Emission& e = p.pending.front();
+    const auto& outs = p.out_channels[static_cast<std::size_t>(e.port)];
+    if (!has_space(outs)) return false;
+    push(outs, e);
+    p.pending.pop_front();
+  }
+  return true;
+}
+
+/// The control tokens a sink consumed in one firing: calls
+/// `on_frame_end(payload)` for each end-of-frame token in `popped` (the
+/// payload is the frame index) and returns the number of end-of-stream
+/// tokens.
+template <class OnFrameEnd>
+int scan_sink_tokens(const std::vector<Item>& popped,
+                     OnFrameEnd&& on_frame_end) {
+  int eos = 0;
+  for (const Item& it : popped) {
+    if (!is_token(it)) continue;
+    const ControlToken& t = as_token(it);
+    if (t.cls == tok::kEndOfFrame) on_frame_end(t.payload);
+    if (t.cls == tok::kEndOfStream) ++eos;
+  }
+  return eos;
+}
+
+/// A source's frame cursor: whether its next data item opens a frame, and
+/// that frame's index.
+struct FrameCursor {
+  bool at_start = true;
+  std::int32_t index = 0;
+
+  /// Step past `item`, released or shed. Returns true when it opens frame
+  /// `index`; an end-of-frame token moves on to the next frame.
+  bool step(const Item& item) {
+    if (is_data(item)) return std::exchange(at_start, false);
+    if (as_token(item).cls == tok::kEndOfFrame) {
+      ++index;
+      at_start = true;
+    }
+    return false;
+  }
+};
 
 }  // namespace bpp

@@ -93,6 +93,59 @@ struct TraceEvent {
   EventKind kind = EventKind::kFiring;
 };
 
+// Record builders for the shapes both engines emit. Each site stays
+// `if (obs::kCompiledIn && ring) ring->emit(obs::...(...))`, so the builder
+// call folds away with the site when observability is compiled out.
+
+/// kFiring span; `run`/`read`/`write` fill aux0..2 (see kFiring).
+inline TraceEvent firing_span(double t0, double t1, std::int32_t kernel,
+                              std::int32_t core, std::int32_t method,
+                              double run, double read, double write = 0.0) {
+  return {.t0 = t0, .t1 = t1, .aux0 = static_cast<float>(run),
+          .aux1 = static_cast<float>(read), .aux2 = static_cast<float>(write),
+          .kernel = kernel, .core = core, .method = method};
+}
+
+/// kWrite span: a drain of back-pressured emissions costing `write`.
+inline TraceEvent write_span(double t0, double t1, std::int32_t kernel,
+                             std::int32_t core, double write) {
+  return {.t0 = t0, .t1 = t1, .aux2 = static_cast<float>(write),
+          .kernel = kernel, .core = core, .kind = EventKind::kWrite};
+}
+
+/// kChannelPush/kChannelPop: `occupancy` of `channel` just after the
+/// operation.
+inline TraceEvent channel_sample(EventKind kind, double t, std::int32_t channel,
+                                 std::int32_t core, double occupancy) {
+  return {.t0 = t, .t1 = t, .aux0 = static_cast<float>(occupancy),
+          .core = core, .channel = channel, .kind = kind};
+}
+
+/// kFaultInject instant for a perturbed firing or release.
+inline TraceEvent fault_instant(double t, std::int32_t kernel,
+                                std::int32_t core, double time_scale,
+                                double stall_seconds, double delay_seconds) {
+  return {.t0 = t, .t1 = t, .aux0 = static_cast<float>(time_scale),
+          .aux1 = static_cast<float>(stall_seconds),
+          .aux2 = static_cast<float>(delay_seconds), .kernel = kernel,
+          .core = core, .kind = EventKind::kFaultInject};
+}
+
+/// kFrameStart/kFrameEnd/kFrameShed/kShedRecover instant for `frame`.
+inline TraceEvent frame_instant(EventKind kind, double t, std::int32_t kernel,
+                                std::int32_t core, std::int64_t frame) {
+  return {.t0 = t, .t1 = t, .kernel = kernel, .core = core,
+          .method = static_cast<std::int32_t>(frame), .kind = kind};
+}
+
+/// kSourceRelease instant; `late` marks a lag past the engine's tolerance.
+inline TraceEvent source_release(double t, std::int32_t kernel,
+                                 std::int32_t core, double lag, bool late) {
+  return {.t0 = t, .t1 = t, .aux0 = static_cast<float>(lag > 0.0 ? lag : 0.0),
+          .aux1 = late ? 1.0f : 0.0f, .kernel = kernel, .core = core,
+          .kind = EventKind::kSourceRelease};
+}
+
 /// A drained, time-sorted event collection plus the metadata needed to
 /// interpret and export it.
 struct Trace {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -104,13 +103,7 @@ struct GraphProgram::Impl final : rt::Program {
       channels_[static_cast<size_t>(c)] = std::move(rt);
     }
 
-    in_of_.resize(static_cast<size_t>(n));
-    outs_of_.resize(static_cast<size_t>(n));
-    connected_.resize(static_cast<size_t>(n));
-    pending_.resize(static_cast<size_t>(n));
-    eos_needed_.assign(static_cast<size_t>(n), 0);
     eos_seen_.assign(static_cast<size_t>(n), 0);
-    is_sink_.assign(static_cast<size_t>(n), 0);
     src_next_.resize(static_cast<size_t>(n));
     sink_done_ = std::make_unique<std::atomic<bool>[]>(static_cast<size_t>(n));
     ready_ = std::make_unique<ReadyFlag[]>(static_cast<size_t>(n));
@@ -123,34 +116,16 @@ struct GraphProgram::Impl final : rt::Program {
     core_kernels_.resize(static_cast<size_t>(mcores));
     state_.resize(static_cast<size_t>(mcores));
 
+    ports_.reserve(static_cast<size_t>(n));
     for (KernelId k = 0; k < n; ++k) {
-      Kernel& kn = g.kernel(k);
-      in_of_[static_cast<size_t>(k)].assign(kn.inputs().size(), -1);
-      for (size_t i = 0; i < kn.inputs().size(); ++i) {
-        auto c = g.in_channel(k, static_cast<int>(i));
-        if (c) {
-          in_of_[static_cast<size_t>(k)][i] = *c;
-          connected_[static_cast<size_t>(k)].push_back(static_cast<int>(i));
-          ++eos_needed_[static_cast<size_t>(k)];
-        }
-      }
-      outs_of_[static_cast<size_t>(k)].resize(kn.outputs().size());
-      for (size_t o = 0; o < kn.outputs().size(); ++o)
-        outs_of_[static_cast<size_t>(k)][o] = g.out_channels(k, static_cast<int>(o));
+      ports_.push_back(wire_kernel(g, k));
+      if (ports_.back().is_sink) ++total_sinks_;
       core_kernels_[static_cast<size_t>(mapping.core_of[static_cast<size_t>(k)])]
           .push_back(k);
-      kn.init();
-      for (Emission& e : kn.initial_emissions())
-        pending_[static_cast<size_t>(k)].push_back(std::move(e));
-      if (!kn.is_source() && g.out_channels(k).empty()) {
-        is_sink_[static_cast<size_t>(k)] = 1;
-        ++total_sinks_;
-      }
     }
 
     kernel_fired_.assign(static_cast<size_t>(n), 0);
-    src_at_frame_start_.assign(static_cast<size_t>(n), 1);
-    src_frame_idx_.assign(static_cast<size_t>(n), 0);
+    src_frame_.resize(static_cast<size_t>(n));
     src_dropping_.assign(static_cast<size_t>(n), 0);
     src_stopped_.assign(static_cast<size_t>(n), 0);
     wedged_.assign(static_cast<size_t>(n), 0);
@@ -239,25 +214,24 @@ struct GraphProgram::Impl final : rt::Program {
 
     CoreState& w = state_[static_cast<size_t>(core)];
     Kernel& kn = g_.kernel(k);
+    KernelPorts& ports = ports_[static_cast<size_t>(k)];
     if (kn.is_source()) {
       if (!drain(k, core, w) &&
-          static_cast<long>(pending_[static_cast<size_t>(k)].size()) >=
-              kn.pending_capacity())
+          static_cast<long>(ports.pending.size()) >= kn.pending_capacity())
         return;
       run_source(k, kn, core, w);
       return;
     }
 
     if (wedged_[static_cast<size_t>(k)]) return;  // kWedge: never fires again
-    const auto& in_of = in_of_[static_cast<size_t>(k)];
+    const auto& in_of = ports.in_channel;
     while (!quiesced()) {
       if (!drain(k, core, w) &&
-          static_cast<long>(pending_[static_cast<size_t>(k)].size()) >=
-              kn.pending_capacity())
+          static_cast<long>(ports.pending.size()) >= kn.pending_capacity())
         return;  // back-pressured; the consumer's pop re-arms us
 
       decide_fire_into(
-          kn, connected_[static_cast<size_t>(k)],
+          kn, ports.connected,
           [&](int port) -> const Item* {
             const ChannelId c = in_of[static_cast<size_t>(port)];
             if (c < 0) return nullptr;
@@ -278,17 +252,10 @@ struct GraphProgram::Impl final : rt::Program {
         pert = inj_.perturb(k, w.fired[static_cast<size_t>(k)]);
         if (!pert.identity()) {
           ++w.faults;
-          if (rec) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kFaultInject;
-            e.t0 = e.t1 = elapsed();
-            e.kernel = k;
-            e.core = core;
-            e.aux0 = static_cast<float>(pert.time_scale);
-            e.aux1 = static_cast<float>(pert.stall_seconds);
-            e.aux2 = static_cast<float>(pert.delivery_delay_seconds);
-            w.ring->emit(e);
-          }
+          if (rec)
+            w.ring->emit(obs::fault_instant(elapsed(), k, core, pert.time_scale,
+                                            pert.stall_seconds,
+                                            pert.delivery_delay_seconds));
         }
         // Recovery fault kinds (DESIGN.md §8): a wedge halts this kernel
         // for good before it pops anything — inputs back up and the
@@ -306,43 +273,25 @@ struct GraphProgram::Impl final : rt::Program {
                                      std::to_string(w.fired[static_cast<size_t>(k)]));
       }
 
-      ExecContext& ctx = w.ctx;
-      ctx.reset();
       w.popped.clear();
       w.popped.reserve(d.pop_inputs.size());
       for (int p : d.pop_inputs) {
         RtChannel& ch = chan(in_of[static_cast<size_t>(p)]);
         w.popped.push_back(std::move(*ch.ring.front_mut()));
         ch.ring.pop();
-        if (rec) {
-          obs::TraceEvent e;
-          e.kind = obs::EventKind::kChannelPop;
-          e.t0 = e.t1 = elapsed();
-          e.core = core;
-          e.channel = in_of[static_cast<size_t>(p)];
-          e.aux0 = static_cast<float>(ch.ring.size_approx());
-          w.ring->emit(e);
-        }
-        if (is_token(w.popped.back()) &&
-            as_token(w.popped.back()).cls == tok::kEndOfStream)
-          ++eos_seen_[static_cast<size_t>(k)];
+        if (rec)
+          w.ring->emit(obs::channel_sample(
+              obs::EventKind::kChannelPop, elapsed(),
+              in_of[static_cast<size_t>(p)], core, ch.ring.size_approx()));
       }
       std::atomic_thread_fence(std::memory_order_seq_cst);
       for (int p : d.pop_inputs)
         rearm_blocked_producer(chan(in_of[static_cast<size_t>(p)]), core);
-      for (size_t i = 0; i < d.pop_inputs.size(); ++i)
-        ctx.bind_input(d.pop_inputs[i], &w.popped[i]);
 
       const double t_read = rec || faults_ ? elapsed() : 0.0;
       if (pert.stall_seconds > 0.0) fault::spin_for(pert.stall_seconds);
       const double t_run = pert.stall_seconds > 0.0 ? elapsed() : t_read;
-      if (d.kind == FireDecision::Kind::Method) {
-        if (d.token >= 0) ctx.set_trigger_token(d.token, d.payload);
-        kn.invoke(d.method, ctx);
-      } else {
-        for (int o : d.forward_outputs)
-          ctx.emit(o, ControlToken{d.token, d.payload});
-      }
+      fire(kn, d, w.popped, w.ctx, ports.pending);
       // Overrun/throttle: stretch the firing by spinning for the induced
       // extra time (wall clock cannot run a kernel faster, so time scales
       // below 1 are a no-op here; the simulator honors them). Delivery
@@ -351,53 +300,35 @@ struct GraphProgram::Impl final : rt::Program {
         fault::spin_for((elapsed() - t_run) * (pert.time_scale - 1.0));
       if (pert.delivery_delay_seconds > 0.0)
         fault::spin_for(pert.delivery_delay_seconds);
-      for (Emission& e : ctx.emissions())
-        pending_[static_cast<size_t>(k)].push_back(std::move(e));
       firings_.fetch_add(1, std::memory_order_relaxed);
       ++w.fired[static_cast<size_t>(k)];
       if (rec) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kFiring;
-        e.t0 = t_begin;
-        e.t1 = elapsed();
-        e.aux0 = static_cast<float>(e.t1 - t_read);    // run (invoke)
-        e.aux1 = static_cast<float>(t_read - t_begin);  // read (pops)
-        e.kernel = k;
-        e.core = core;
-        e.method = d.kind == FireDecision::Kind::Method ? d.method : -1;
-        w.ring->emit(e);
+        const double t1 = elapsed();  // run is the invoke, read the pops
+        w.ring->emit(obs::firing_span(
+            t_begin, t1, k, core,
+            d.kind == FireDecision::Kind::Method ? d.method : -1, t1 - t_read,
+            t_read - t_begin));
       }
+      if (!ports.is_sink) continue;
 
       // Frame tracking: a sink consuming an end-of-frame token closes the
       // frame whose index rides in the token payload. The degradation
       // controller gets the same completions as miss feedback.
-      if ((rec || ctrl_ != nullptr) && is_sink_[static_cast<size_t>(k)]) {
-        for (const Item& it : w.popped) {
-          if (!is_token(it) || as_token(it).cls != tok::kEndOfFrame) continue;
-          const double t_end = elapsed();
-          if (rec) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kFrameEnd;
-            e.t0 = e.t1 = t_end;
-            e.kernel = k;
-            e.core = core;
-            e.method = as_token(it).payload;
-            w.ring->emit(e);
-          }
-          if (ctrl_ != nullptr)
-            ctrl_->on_frame_end(as_token(it).payload, t_end);
-        }
-      }
-
+      int& eos_seen = eos_seen_[static_cast<size_t>(k)];
+      eos_seen += scan_sink_tokens(w.popped, [&](std::int64_t frame) {
+        if (!rec && ctrl_ == nullptr) return;
+        const double t_end = elapsed();
+        if (rec)
+          w.ring->emit(obs::frame_instant(obs::EventKind::kFrameEnd, t_end, k,
+                                          core, frame));
+        if (ctrl_ != nullptr) ctrl_->on_frame_end(frame, t_end);
+      });
       // Sink completion: all connected inputs delivered end-of-stream.
-      if (is_sink_[static_cast<size_t>(k)] &&
-          eos_seen_[static_cast<size_t>(k)] >= eos_needed_[static_cast<size_t>(k)] &&
-          !sink_done_[static_cast<size_t>(k)].exchange(true)) {
-        if (finished_sinks_.fetch_add(1, std::memory_order_acq_rel) + 1 >=
-                total_sinks_ &&
-            total_sinks_ > 0)
-          signal_done();
-      }
+      if (eos_seen >= static_cast<int>(ports.connected.size()) &&
+          !sink_done_[static_cast<size_t>(k)].exchange(true) &&
+          finished_sinks_.fetch_add(1, std::memory_order_acq_rel) + 1 >=
+              total_sinks_)
+        signal_done();
     }
   }
 
@@ -428,13 +359,9 @@ struct GraphProgram::Impl final : rt::Program {
 
   void record_park(int core, double t0_machine, double t1_machine) override {
     CoreState& w = state_[static_cast<size_t>(core)];
-    if (!obs::kCompiledIn || !w.ring) return;
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kPark;
-    ev.t0 = t0_machine - t0_off_;
-    ev.t1 = t1_machine - t0_off_;
-    ev.core = core;
-    w.ring->emit(ev);
+    if (obs::kCompiledIn && w.ring)
+      w.ring->emit({.t0 = t0_machine - t0_off_, .t1 = t1_machine - t0_off_,
+                    .core = core, .kind = obs::EventKind::kPark});
   }
 
   // ---- internals ---------------------------------------------------------
@@ -486,15 +413,9 @@ struct GraphProgram::Impl final : rt::Program {
         throw ExecutionError("runtime: push on full channel (scheduler bug)");
       const int occ = static_cast<int>(ch.ring.size_approx());
       if (occ > ch.high_water) ch.high_water = occ;
-      if (obs::kCompiledIn && w.ring) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kChannelPush;
-        e.t0 = e.t1 = elapsed();
-        e.core = core;
-        e.channel = outs[i];
-        e.aux0 = static_cast<float>(occ);
-        w.ring->emit(e);
-      }
+      if (obs::kCompiledIn && w.ring)
+        w.ring->emit(obs::channel_sample(obs::EventKind::kChannelPush,
+                                         elapsed(), outs[i], core, occ));
     }
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (ChannelId c : outs) mark_ready(chan(c).consumer_kernel, core);
@@ -504,32 +425,23 @@ struct GraphProgram::Impl final : rt::Program {
   /// With tracing on, a drain that moved items is recorded as a write span
   /// (the back-pressured write phase of Fig. 13's breakdown).
   bool drain(KernelId k, int core, CoreState& w) {
-    auto& pending = pending_[static_cast<size_t>(k)];
-    if (pending.empty()) return true;
+    KernelPorts& ports = ports_[static_cast<size_t>(k)];
+    if (ports.pending.empty()) return true;
     const bool rec = obs::kCompiledIn && w.ring != nullptr;
     const double t_begin = rec ? elapsed() : 0.0;
     bool moved = false;
-    bool all = true;
-    while (!pending.empty()) {
-      Emission& e = pending.front();
-      const auto& outs = outs_of_[static_cast<size_t>(k)][static_cast<size_t>(e.port)];
-      if (!has_space_or_arm(outs)) {
-        all = false;
-        break;
-      }
-      push_all(outs, std::move(e.item), core, w);
-      pending.pop_front();
-      moved = true;
-    }
+    const bool all = drain_pending(
+        ports,
+        [&](const std::vector<ChannelId>& outs) {
+          return has_space_or_arm(outs);
+        },
+        [&](const std::vector<ChannelId>& outs, Emission& e) {
+          push_all(outs, std::move(e.item), core, w);
+          moved = true;
+        });
     if (rec && moved) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kWrite;
-      e.t0 = t_begin;
-      e.t1 = elapsed();
-      e.aux2 = static_cast<float>(e.t1 - e.t0);  // whole span is write time
-      e.kernel = k;
-      e.core = core;
-      w.ring->emit(e);
+      const double t1 = elapsed();  // the whole span is write time
+      w.ring->emit(obs::write_span(t_begin, t1, k, core, t1 - t_begin));
     }
     return all;
   }
@@ -554,25 +466,15 @@ struct GraphProgram::Impl final : rt::Program {
     }
   }
 
-  /// Instant event helper for frame/shed boundaries on a source.
-  void emit_frame_instant(obs::EventKind kind, KernelId k, int core,
-                          CoreState& w, std::int32_t frame) {
-    if (!obs::kCompiledIn || !w.ring) return;
-    obs::TraceEvent e;
-    e.kind = kind;
-    e.t0 = e.t1 = elapsed();
-    e.kernel = k;
-    e.core = core;
-    e.method = frame;
-    w.ring->emit(e);
-  }
-
   /// Source loop: drain the staged emission then poll for more. Exits when
   /// exhausted (never re-armed), back-pressured (producer_blocked armed),
   /// or — paced — not due yet (timed re-arm via CoreState::timed).
   void run_source(KernelId k, Kernel& kn, int core, CoreState& w) {
     if (src_stopped_[static_cast<size_t>(k)]) return;  // drained or exhausted
     auto& next = src_next_[static_cast<size_t>(k)];
+    FrameCursor& frame = src_frame_[static_cast<size_t>(k)];
+    char& dropping = src_dropping_[static_cast<size_t>(k)];
+    const bool rec = obs::kCompiledIn && w.ring != nullptr;
     const bool sheddable = ctrl_ != nullptr && k == shed_source_;
     while (!quiesced()) {
       if (next.has_value()) {
@@ -580,8 +482,7 @@ struct GraphProgram::Impl final : rt::Program {
         // shedding uses — so the in-flight frame completes downstream but
         // no new frame starts. Checked before pacing: a source parked
         // until its next release stops the moment it is next looked at.
-        if (src_at_frame_start_[static_cast<size_t>(k)] &&
-            !src_dropping_[static_cast<size_t>(k)] && is_data(next->item) &&
+        if (frame.at_start && !dropping && is_data(next->item) &&
             drain_.load(std::memory_order_acquire)) {
           mark_source_stopped(k);
           return;
@@ -608,30 +509,29 @@ struct GraphProgram::Impl final : rt::Program {
 
         // Frame boundary: claim an armed shed request and drop the whole
         // upcoming frame (never mid-frame, never end-of-stream).
-        if (frame_data && src_at_frame_start_[static_cast<size_t>(k)] &&
-            !src_dropping_[static_cast<size_t>(k)] && sheddable &&
+        if (frame_data && frame.at_start && !dropping && sheddable &&
             ctrl_->should_shed()) {
-          src_dropping_[static_cast<size_t>(k)] = 1;
-          emit_frame_instant(obs::EventKind::kFrameShed, k, core, w,
-                             src_frame_idx_[static_cast<size_t>(k)]);
+          dropping = 1;
+          if (rec)
+            w.ring->emit(obs::frame_instant(obs::EventKind::kFrameShed,
+                                            elapsed(), k, core, frame.index));
         }
 
-        if (src_dropping_[static_cast<size_t>(k)] && !frame_eos) {
+        if (dropping && !frame_eos) {
           // Dropping: consume without pushing.
-          if (frame_data && src_at_frame_start_[static_cast<size_t>(k)])
-            src_at_frame_start_[static_cast<size_t>(k)] = 0;
+          const std::int32_t shed = frame.index;
+          frame.step(next->item);
           next.reset();
           if (frame_eof) {
-            const std::int32_t shed = src_frame_idx_[static_cast<size_t>(k)];
-            ++src_frame_idx_[static_cast<size_t>(k)];
-            src_at_frame_start_[static_cast<size_t>(k)] = 1;
-            src_dropping_[static_cast<size_t>(k)] = 0;
-            emit_frame_instant(obs::EventKind::kShedRecover, k, core, w, shed);
+            dropping = 0;
+            if (rec)
+              w.ring->emit(obs::frame_instant(obs::EventKind::kShedRecover,
+                                              elapsed(), k, core, shed));
             ctrl_->on_shed_complete(shed);
           }
         } else {
-          const auto& outs = outs_of_[static_cast<size_t>(k)]
-                                     [static_cast<size_t>(next->port)];
+          const auto& outs = ports_[static_cast<size_t>(k)]
+                                 .out_channels[static_cast<size_t>(next->port)];
           if (!has_space_or_arm(outs)) return;
           if (opt_.pace_inputs) {
             const double release = next->release_seconds * opt_.pace_slowdown;
@@ -641,27 +541,15 @@ struct GraphProgram::Impl final : rt::Program {
               delayed_.fetch_add(1, std::memory_order_relaxed);
               update_max_lag(lag);
             }
-            if (obs::kCompiledIn && w.ring) {
-              obs::TraceEvent e;
-              e.kind = obs::EventKind::kSourceRelease;
-              e.t0 = e.t1 = elapsed();
-              e.kernel = k;
-              e.core = core;
-              e.aux0 = static_cast<float>(lag > 0.0 ? lag : 0.0);
-              e.aux1 = late ? 1.0f : 0.0f;
-              w.ring->emit(e);
-            }
+            if (rec)
+              w.ring->emit(obs::source_release(elapsed(), k, core, lag, late));
           }
+          const bool opens_frame = frame.step(next->item);
           push_all(outs, std::move(next->item), core, w);
           next.reset();
-          if (frame_data && src_at_frame_start_[static_cast<size_t>(k)]) {
-            src_at_frame_start_[static_cast<size_t>(k)] = 0;
-            emit_frame_instant(obs::EventKind::kFrameStart, k, core, w,
-                               src_frame_idx_[static_cast<size_t>(k)]);
-          } else if (frame_eof) {
-            ++src_frame_idx_[static_cast<size_t>(k)];
-            src_at_frame_start_[static_cast<size_t>(k)] = 1;
-          }
+          if (rec && opens_frame)
+            w.ring->emit(obs::frame_instant(obs::EventKind::kFrameStart,
+                                            elapsed(), k, core, frame.index));
         }
       }
       SourceEmission e;
@@ -778,21 +666,14 @@ struct GraphProgram::Impl final : rt::Program {
   rt::Machine& machine_;
   std::function<void()> on_complete_;
   std::vector<std::unique_ptr<RtChannel>> channels_;  // null for dead channels
-  std::vector<std::vector<ChannelId>> in_of_;
-  std::vector<std::vector<std::vector<ChannelId>>> outs_of_;
-  std::vector<std::vector<int>> connected_;
-  std::vector<std::deque<Emission>> pending_;
+  std::vector<KernelPorts> ports_;
   std::vector<std::vector<KernelId>> core_kernels_;
   std::vector<CoreState> state_;  ///< indexed by machine core
   std::vector<int> cores_used_;   ///< machine cores hosting our kernels
-  std::vector<int> eos_needed_;
   std::vector<int> eos_seen_;
-  std::vector<char> is_sink_;
   std::vector<std::optional<SourceEmission>> src_next_;
-  /// Per-source frame cursors (only the owning worker touches its sources):
-  /// whether the next data item opens a frame, and that frame's index.
-  std::vector<char> src_at_frame_start_;
-  std::vector<std::int32_t> src_frame_idx_;
+  /// Per-source frame cursors (only the owning worker touches its sources).
+  std::vector<FrameCursor> src_frame_;
   /// Per-source shed state: mid-drop of the current frame.
   std::vector<char> src_dropping_;
   /// Per-source retirement flag (drain/exhaustion; owner-worker written).

@@ -62,12 +62,7 @@ struct ChannelState {
 };
 
 struct KernelState {
-  std::deque<Emission> pending;
-  std::vector<int> connected_inputs;
-  std::vector<ChannelId> in_channel_of_port;            // -1 if none
-  std::vector<std::vector<ChannelId>> out_channels_of_port;
-  std::vector<ChannelId> out_channels;  ///< all ports, flattened
-  bool is_sink = false;
+  KernelPorts ports;
   int sink_index = -1;  ///< into SimResult::sink_frame_times
   int core = -1;        ///< -1 for sources, which are retried every pass
   /// Something this kernel reads changed since its last attempt failed.
@@ -81,9 +76,7 @@ struct SourceState {
   bool exhausted = false;
   bool have_next = false;
   SourceEmission next;
-  /// Frame tracking: the next data release starts a new frame.
-  bool at_frame_start = true;
-  std::int64_t frame_idx = 0;
+  FrameCursor frame;
   /// Items released so far (the injector's firing index for sources).
   std::int64_t released = 0;
   /// Release time of this source's entry in the wake heap (NaN if none).
@@ -137,19 +130,7 @@ class Sim {
     for (KernelId k = 0; k < n; ++k) {
       Kernel& kn = g.kernel(k);
       KernelState& st = kstate_[static_cast<size_t>(k)];
-      st.in_channel_of_port.assign(kn.inputs().size(), -1);
-      for (size_t i = 0; i < kn.inputs().size(); ++i) {
-        auto c = g.in_channel(k, static_cast<int>(i));
-        if (c) {
-          st.in_channel_of_port[i] = *c;
-          st.connected_inputs.push_back(static_cast<int>(i));
-        }
-      }
-      st.out_channels_of_port.resize(kn.outputs().size());
-      for (size_t o = 0; o < kn.outputs().size(); ++o)
-        st.out_channels_of_port[o] = g.out_channels(k, static_cast<int>(o));
-      st.out_channels = g.out_channels(k);
-
+      st.ports = wire_kernel(g, k);
       if (kn.is_source()) {
         SourceState ss;
         ss.id = k;
@@ -168,14 +149,10 @@ class Sim {
         st.core = core;
         make_ready(k);  // never attempted yet
       }
-      if (!kn.is_source() && g.out_channels(k).empty()) {
-        st.is_sink = true;
+      if (st.ports.is_sink) {
         st.sink_index = static_cast<int>(res_.sink_frame_times.size());
         res_.sink_frame_times.emplace_back(k, std::vector<double>{});
       }
-      kn.init();
-      for (Emission& e : kn.initial_emissions())
-        st.pending.push_back(std::move(e));
     }
     res_.kernel_activity.assign(static_cast<size_t>(n), {0L, 0.0});
 
@@ -323,7 +300,7 @@ class Sim {
         break;
       }
       case Wake::Kind::kDelivery:
-        ready_consumers(kstate_[static_cast<size_t>(w.id)].out_channels);
+        ready_consumers(kstate_[static_cast<size_t>(w.id)].ports.outs);
         break;
       case Wake::Kind::kStart:
         break;
@@ -374,8 +351,8 @@ class Sim {
   }
 
   bool push_source(SourceState& s, double now) {
-    const KernelState& st = kstate_[static_cast<size_t>(s.id)];
-    const auto& outs = st.out_channels_of_port[static_cast<size_t>(s.next.port)];
+    const KernelPorts& ports = kstate_[static_cast<size_t>(s.id)].ports;
+    const auto& outs = ports.out_channels[static_cast<size_t>(s.next.port)];
     if (!all_have_space(outs)) return false;
     const double lag = now - s.next.release_seconds;
     if (lag > 1e-12) {
@@ -387,52 +364,25 @@ class Sim {
     double avail = now;
     if (faults_) {
       const fault::Perturbation pert = inj_.perturb(s.id, s.released);
-      if (!pert.identity()) {
-        ++res_.faults_injected;
-        record_fault(s.id, -1, now, pert);
-      }
+      if (!pert.identity()) record_fault(s.id, -1, now, pert);
       if (pert.delivery_delay_seconds > 0.0)
         avail = now + pert.delivery_delay_seconds;
     }
     ++s.released;
-    const bool data = is_data(s.next.item);
-    const bool end_of_frame =
-        !data && as_token(s.next.item).cls == tok::kEndOfFrame;
+    const bool opens_frame = s.frame.step(s.next.item);
     push_all(outs, s.next.item, avail, item_words(s.next.item), now);
     if (avail <= now + kEps)
       ready_consumers(outs);
     else
       wake_.push(Wake{avail, Wake::Kind::kDelivery, s.id});
+    // Input releases happen off-core (the "sources" track).
     if (obs::kCompiledIn && ring_) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kSourceRelease;
-      e.t0 = e.t1 = now;
-      e.kernel = s.id;
-      e.core = -1;  // input releases happen off-core ("sources" track)
-      e.aux0 = static_cast<float>(lag > 0.0 ? lag : 0.0);
-      e.aux1 =
-          lag > opt_.lag_tolerance_periods * pixel_period_ + 1e-12 ? 1.0f
-                                                                   : 0.0f;
-      ring_->emit(e);
-    }
-    // Frame tracking: the first pixel after an end-of-frame token opens
-    // frame N; the token itself advances the source's frame cursor.
-    if (data) {
-      if (s.at_frame_start) {
-        s.at_frame_start = false;
-        if (obs::kCompiledIn && ring_) {
-          obs::TraceEvent e;
-          e.kind = obs::EventKind::kFrameStart;
-          e.t0 = e.t1 = now;
-          e.kernel = s.id;
-          e.core = -1;
-          e.method = static_cast<std::int32_t>(s.frame_idx);
-          ring_->emit(e);
-        }
-      }
-    } else if (end_of_frame) {
-      ++s.frame_idx;
-      s.at_frame_start = true;
+      ring_->emit(obs::source_release(
+          now, s.id, -1, lag,
+          lag > opt_.lag_tolerance_periods * pixel_period_ + 1e-12));
+      if (opens_frame)
+        ring_->emit(obs::frame_instant(obs::EventKind::kFrameStart, now,
+                                       s.id, -1, s.frame.index));
     }
     advance_source(s);
     return true;
@@ -445,59 +395,37 @@ class Sim {
         static_cast<long>(channels_[static_cast<size_t>(c)].q.size());
     if (occ > chan_hw_[static_cast<size_t>(c)])
       chan_hw_[static_cast<size_t>(c)] = occ;
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kChannelPush;
-    e.t0 = e.t1 = now;
-    e.channel = c;
-    e.core = -1;
-    e.aux0 = static_cast<float>(occ);
-    ring_->emit(e);
+    ring_->emit(
+        obs::channel_sample(obs::EventKind::kChannelPush, now, c, -1, occ));
   }
 
-  /// Instant marking a perturbed firing/release.
+  /// Count a perturbed firing/release and mark it with an instant.
   void record_fault(KernelId k, int core, double now,
                     const fault::Perturbation& p) {
-    if (!obs::kCompiledIn || !ring_) return;
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kFaultInject;
-    e.t0 = e.t1 = now;
-    e.kernel = k;
-    e.core = core;
-    e.aux0 = static_cast<float>(p.time_scale);
-    e.aux1 = static_cast<float>(p.stall_seconds);
-    e.aux2 = static_cast<float>(p.delivery_delay_seconds);
-    ring_->emit(e);
-  }
-
-  void record_pop(ChannelId c, int core, double now) {
-    if (!obs::kCompiledIn || !ring_) return;
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kChannelPop;
-    e.t0 = e.t1 = now;
-    e.channel = c;
-    e.core = core;
-    e.aux0 = static_cast<float>(channels_[static_cast<size_t>(c)].q.size());
-    ring_->emit(e);
+    ++res_.faults_injected;
+    if (obs::kCompiledIn && ring_)
+      ring_->emit(obs::fault_instant(now, k, core, p.time_scale, p.stall_seconds,
+                                     p.delivery_delay_seconds));
   }
 
   /// Move as many pending emissions of kernel `k` to channels as fit,
   /// marking them with a provisional +inf availability that retime_recent
   /// replaces with the action's end time. Returns words written.
-  long drain_pending(KernelId k, CoreState& core, double now) {
+  long deliver_pending(KernelId k, CoreState& core, double now) {
     constexpr double kProvisional = std::numeric_limits<double>::infinity();
-    KernelState& st = kstate_[static_cast<size_t>(k)];
     long words = 0;
-    while (!st.pending.empty()) {
-      Emission& e = st.pending.front();
-      const auto& outs = st.out_channels_of_port[static_cast<size_t>(e.port)];
-      if (!all_have_space(outs)) break;
-      const long charge =
-          e.charge_words >= 0 ? e.charge_words : item_words(e.item);
-      push_all(outs, e.item, kProvisional, charge, now);
-      words += charge * static_cast<long>(outs.size());
-      core.pushed.insert(core.pushed.end(), outs.begin(), outs.end());
-      st.pending.pop_front();
-    }
+    drain_pending(
+        kstate_[static_cast<size_t>(k)].ports,
+        [&](const std::vector<ChannelId>& outs) {
+          return all_have_space(outs);
+        },
+        [&](const std::vector<ChannelId>& outs, Emission& e) {
+          const long charge =
+              e.charge_words >= 0 ? e.charge_words : item_words(e.item);
+          push_all(outs, e.item, kProvisional, charge, now);
+          words += charge * static_cast<long>(outs.size());
+          core.pushed.insert(core.pushed.end(), outs.begin(), outs.end());
+        });
     return words;
   }
 
@@ -514,32 +442,25 @@ class Sim {
       KernelState& st = kstate_[static_cast<size_t>(k)];
       if (!st.ready) continue;
       Kernel& kn = g_.kernel(k);
+      KernelPorts& ports = st.ports;
 
       // Deliver back-pressured output first; a kernel may keep firing
       // while its undelivered items fit its modeled output buffering.
-      if (!st.pending.empty()) {
-        const long words = drain_pending(k, core, now);
+      if (!ports.pending.empty()) {
+        const long words = deliver_pending(k, core, now);
         if (words > 0) {
           const double cycles = words * opt_.machine.write_cost;
           const double dur = cycles / opt_.machine.clock_hz;
           retime_recent(k, now + dur);
           publish(core, k, now, now + dur, false);
           stats.write_cycles += cycles;
-          if (obs::kCompiledIn && ring_) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kWrite;
-            e.t0 = now;
-            e.t1 = now + dur;
-            e.aux2 = static_cast<float>(cycles);
-            e.kernel = k;
-            e.core = c;
-            ring_->emit(e);
-          }
+          if (obs::kCompiledIn && ring_)
+            ring_->emit(obs::write_span(now, now + dur, k, c, cycles));
           core.rr = (idx + 1) % n;
           last_action_ = std::max(last_action_, now + dur);
           return dur;
         }
-        if (static_cast<long>(st.pending.size()) >= kn.pending_capacity()) {
+        if (static_cast<long>(ports.pending.size()) >= kn.pending_capacity()) {
           make_unready(k);
           continue;  // stalled on insufficient output buffering (Fig. 9(b))
         }
@@ -548,9 +469,9 @@ class Sim {
       FireDecision& d = fire_scratch_;
       ++fire_decisions_;
       decide_fire_into(
-          kn, st.connected_inputs,
+          kn, ports.connected,
           [&](int port) -> const Item* {
-            const ChannelId ch = st.in_channel_of_port[static_cast<size_t>(port)];
+            const ChannelId ch = ports.in_channel[static_cast<size_t>(port)];
             if (ch < 0) return nullptr;
             const auto& q = channels_[static_cast<size_t>(ch)].q;
             if (q.empty() || q.front().avail > now + kEps) return nullptr;
@@ -564,53 +485,40 @@ class Sim {
 
       // Pop the consumed items; a producer holding undelivered output may
       // now have room for it.
-      ExecContext& ctx = ctx_;
-      ctx.reset();
       popped_.clear();
       long read_words = 0;
       for (int p : d.pop_inputs) {
-        const ChannelId ch = st.in_channel_of_port[static_cast<size_t>(p)];
+        const ChannelId ch = ports.in_channel[static_cast<size_t>(p)];
         ChannelState& cs = channels_[static_cast<size_t>(ch)];
         read_words += cs.q.front().charge;
         popped_.push_back(std::move(cs.q.front().item));
         cs.q.pop_front();
-        record_pop(ch, c, now);
-        if (!kstate_[static_cast<size_t>(cs.producer)].pending.empty())
+        if (obs::kCompiledIn && ring_)
+          ring_->emit(obs::channel_sample(obs::EventKind::kChannelPop, now, ch,
+                                          c, cs.q.size()));
+        if (!kstate_[static_cast<size_t>(cs.producer)].ports.pending.empty())
           make_ready(cs.producer);
       }
-      for (size_t i = 0; i < d.pop_inputs.size(); ++i)
-        ctx.bind_input(d.pop_inputs[i], &popped_[i]);
 
-      long run_cycles = 0;
-      if (d.kind == FireDecision::Kind::Method) {
-        if (d.token >= 0) ctx.set_trigger_token(d.token, d.payload);
-        kn.invoke(d.method, ctx);
-        run_cycles = kn.methods()[static_cast<size_t>(d.method)].res.cycles;
-        if (ctx.has_dynamic_cycles()) {
-          // Dynamic-resource extension: time the firing with the reported
-          // cycles; the declared count is the allocated bound.
-          const long bound = run_cycles;
-          run_cycles = ctx.dynamic_cycles();
-          if (run_cycles > bound) {
-            ++res_.resource_exception_count;
-            if (res_.resource_exceptions.size() < 64)
-              res_.resource_exceptions.push_back(ResourceException{
-                  kn.name(), kn.methods()[static_cast<size_t>(d.method)].name,
-                  run_cycles, bound, now});
-          }
+      long run_cycles = fire(kn, d, popped_, ctx_, ports.pending);
+      if (ctx_.has_dynamic_cycles()) {
+        // Dynamic-resource extension: time the firing with the reported
+        // cycles; the declared count is the allocated bound.
+        const long bound = run_cycles;
+        run_cycles = ctx_.dynamic_cycles();
+        if (run_cycles > bound) {
+          ++res_.resource_exception_count;
+          if (res_.resource_exceptions.size() < 64)
+            res_.resource_exceptions.push_back(ResourceException{
+                kn.name(), kn.methods()[static_cast<size_t>(d.method)].name,
+                run_cycles, bound, now});
         }
-      } else {
-        for (int o : d.forward_outputs)
-          ctx.emit(o, ControlToken{d.token, d.payload});
-        run_cycles = 2;  // token forwarding FSM step
       }
-
-      for (Emission& e : ctx.emissions()) st.pending.push_back(std::move(e));
 
       const double base_cycles = opt_.machine.context_switch +
                                  read_words * opt_.machine.read_cost +
                                  static_cast<double>(run_cycles);
-      const long write_words = drain_pending(k, core, now);  // retimed below
+      const long write_words = deliver_pending(k, core, now);  // retimed below
       const double cycles =
           base_cycles + write_words * opt_.machine.write_cost;
 
@@ -623,10 +531,7 @@ class Sim {
       if (faults_) {
         pert = inj_.perturb(
             k, res_.kernel_activity[static_cast<size_t>(k)].first);
-        if (!pert.identity()) {
-          ++res_.faults_injected;
-          record_fault(k, c, now, pert);
-        }
+        if (!pert.identity()) record_fault(k, c, now, pert);
         fault_cycles = cycles * (pert.time_scale - 1.0) +
                        pert.stall_seconds * opt_.machine.clock_hz;
       }
@@ -645,35 +550,21 @@ class Sim {
       res_.kernel_activity[static_cast<size_t>(k)].first += 1;
       res_.kernel_activity[static_cast<size_t>(k)].second +=
           cycles + fault_cycles;
-      if (st.is_sink)
-        for (const Item& it : popped_)
-          if (is_token(it) && as_token(it).cls == tok::kEndOfFrame) {
-            res_.sink_frame_times[static_cast<size_t>(st.sink_index)]
-                .second.push_back(now + dur);
-            if (obs::kCompiledIn && ring_) {
-              obs::TraceEvent e;
-              e.kind = obs::EventKind::kFrameEnd;
-              e.t0 = e.t1 = now + dur;
-              e.kernel = k;
-              e.core = c;
-              e.method = static_cast<std::int32_t>(as_token(it).payload);
-              ring_->emit(e);
-            }
-          }
+      if (ports.is_sink)
+        scan_sink_tokens(popped_, [&](std::int64_t frame) {
+          res_.sink_frame_times[static_cast<size_t>(st.sink_index)]
+              .second.push_back(now + dur);
+          if (obs::kCompiledIn && ring_)
+            ring_->emit(obs::frame_instant(obs::EventKind::kFrameEnd,
+                                           now + dur, k, c, frame));
+        });
       popped_.clear();
-      if (obs::kCompiledIn && ring_) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kFiring;
-        e.t0 = now;
-        e.t1 = now + dur;
-        e.aux0 = static_cast<float>(run_cycles);
-        e.aux1 = static_cast<float>(read_words * opt_.machine.read_cost);
-        e.aux2 = static_cast<float>(write_words * opt_.machine.write_cost);
-        e.kernel = k;
-        e.core = c;
-        e.method = d.kind == FireDecision::Kind::Method ? d.method : -1;
-        ring_->emit(e);
-      }
+      if (obs::kCompiledIn && ring_)
+        ring_->emit(obs::firing_span(
+            now, now + dur, k, c,
+            d.kind == FireDecision::Kind::Method ? d.method : -1,
+            run_cycles, read_words * opt_.machine.read_cost,
+            write_words * opt_.machine.write_cost));
       core.rr = (idx + 1) % n;
       last_action_ = std::max(last_action_, now + dur);
       return dur;
@@ -684,8 +575,7 @@ class Sim {
   /// Items just pushed with a provisional +inf availability get the final
   /// action-end time (they sit at the back of their queues).
   void retime_recent(KernelId k, double avail) {
-    const KernelState& st = kstate_[static_cast<size_t>(k)];
-    for (ChannelId c : st.out_channels) {
+    for (ChannelId c : kstate_[static_cast<size_t>(k)].ports.outs) {
       auto& q = channels_[static_cast<size_t>(c)].q;
       for (auto it = q.rbegin(); it != q.rend() && std::isinf(it->avail); ++it)
         it->avail = avail;
@@ -698,7 +588,8 @@ class Sim {
     for (const SourceState& s : sources_) exhausted = exhausted && s.exhausted;
     long leftover = 0;
     for (const ChannelState& cs : channels_) leftover += static_cast<long>(cs.q.size());
-    for (const KernelState& ks : kstate_) leftover += static_cast<long>(ks.pending.size());
+    for (const KernelState& ks : kstate_)
+      leftover += static_cast<long>(ks.ports.pending.size());
     res_.completed = exhausted;
     res_.deadlocked = !exhausted;
     if (leftover > 0 && res_.diagnostics.empty()) {

@@ -1,6 +1,8 @@
 // Firing rules (paper §II-B/§II-C): data triggers, token triggers, and
 // automatic in-order forwarding of unhandled control tokens — including
-// the multi-input pairing rule of the subtract kernel.
+// the multi-input pairing rule of the subtract kernel. Also the firing step
+// both engines share around the decision: wiring, fire, drain and frame
+// bookkeeping.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include <new>
 
 #include "core/firing.h"
+#include "core/graph.h"
 #include "kernels/elementwise.h"
 #include "kernels/histogram.h"
 #include "test_util.h"
@@ -218,6 +221,148 @@ TEST(Firing, WarmDecisionsDoNotAllocate) {
   EXPECT_TRUE(all_not_ready);
   EXPECT_TRUE(all_forward);
   EXPECT_EQ(allocations, 0);
+}
+
+TEST(Firing, WireKernelRecordsPortsAndStagesInitialEmissions) {
+  Graph g;
+  auto& src = g.add<testutil::ScriptedSource>("src", std::vector<Item>{});
+  auto& pass = g.add<testutil::PassKernel>("pass");
+  auto& a = g.add<testutil::ItemSink>("a");
+  auto& b = g.add<testutil::ItemSink>("b");
+  const ChannelId in = g.connect(src, "out", pass, "in");
+  const ChannelId to_a = g.connect(pass, "out", a, "in");
+  const ChannelId to_b = g.connect(pass, "out", b, "in");
+
+  const KernelPorts p = wire_kernel(g, g.id_of(pass));
+  EXPECT_EQ(p.connected, (std::vector<int>{0}));
+  EXPECT_EQ(p.in_channel, (std::vector<ChannelId>{in}));
+  ASSERT_EQ(p.out_channels.size(), 1u);
+  EXPECT_EQ(p.out_channels[0], (std::vector<ChannelId>{to_a, to_b}));
+  EXPECT_EQ(p.outs, (std::vector<ChannelId>{to_a, to_b}));
+  EXPECT_FALSE(p.is_sink);
+  EXPECT_TRUE(p.pending.empty());
+  EXPECT_TRUE(wire_kernel(g, g.id_of(a)).is_sink);
+  EXPECT_FALSE(wire_kernel(g, g.id_of(src)).is_sink);  // no outputs needed
+}
+
+TEST(Firing, FireRunsMethodOrForwardsOntoPending) {
+  auto sub = make_subtract("sub");
+  sub->ensure_configured();
+  ExecContext ctx;
+  EmissionQueue pending;
+
+  std::vector<Item> popped{px(5), px(3)};
+  FireDecision d = decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
+  ASSERT_EQ(d.kind, FireDecision::Kind::Method);
+  EXPECT_EQ(fire(*sub, d, popped, ctx, pending),
+            sub->methods()[static_cast<size_t>(d.method)].res.cycles);
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_TRUE(is_data(pending.front().item));
+  pending.pop_front();
+
+  popped = {token(tok::kEndOfLine, 4), token(tok::kEndOfLine, 4)};
+  d = decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
+  ASSERT_EQ(d.kind, FireDecision::Kind::Forward);
+  EXPECT_EQ(fire(*sub, d, popped, ctx, pending), 2);  // one FSM step
+  ASSERT_EQ(pending.size(), 1u);  // the pair forwards one copy
+  ASSERT_TRUE(is_token(pending.front().item));
+  EXPECT_EQ(as_token(pending.front().item).cls, tok::kEndOfLine);
+  EXPECT_EQ(as_token(pending.front().item).payload, 4);
+}
+
+TEST(Firing, WarmFireStepDoesNotAllocate) {
+  // The host runtime fires, stages and drains on every step: once the
+  // context and the pending queue have grown, a forward costs no heap.
+  auto sub = make_subtract("sub");
+  sub->ensure_configured();
+  const std::vector<Item> popped{token(tok::kEndOfLine),
+                                 token(tok::kEndOfLine)};
+  const FireDecision d =
+      decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
+  ASSERT_EQ(d.kind, FireDecision::Kind::Forward);
+  ExecContext ctx;
+  KernelPorts ports;
+  ports.out_channels = {{0}};
+  long pushed = 0;
+  auto step = [&] {
+    fire(*sub, d, popped, ctx, ports.pending);
+    fire(*sub, d, popped, ctx, ports.pending);
+    return drain_pending(
+        ports, [](const std::vector<ChannelId>&) { return true; },
+        [&](const std::vector<ChannelId>&, Emission&) { ++pushed; });
+  };
+  ASSERT_TRUE(step());  // warm-up
+
+  const long before = g_allocations;
+  bool drained = true;
+  for (int i = 0; i < 100; ++i) drained = step() && drained;
+  EXPECT_EQ(g_allocations - before, 0);
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(pushed, 202);
+}
+
+TEST(Firing, DrainStopsAtFirstPortWithoutSpace) {
+  KernelPorts ports;
+  ports.out_channels = {{0}, {1}};
+  for (int port : {0, 1, 0}) ports.pending.push_back({port, px(port)});
+  std::vector<int> pushed;
+  EXPECT_FALSE(drain_pending(
+      ports, [](const std::vector<ChannelId>& outs) { return outs[0] == 0; },
+      [&](const std::vector<ChannelId>& outs, Emission&) {
+        pushed.push_back(outs[0]);
+      }));
+  EXPECT_EQ(pushed, (std::vector<int>{0}));  // in order: port 1 blocks port 0
+  EXPECT_EQ(ports.pending.size(), 2u);
+}
+
+TEST(Firing, EmissionQueueIsFifoAcrossCompaction) {
+  EmissionQueue q;
+  std::vector<int> out;
+  int next = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back({next++, token(tok::kEndOfLine)});
+    for (int i = 0; i < 2; ++i) {
+      out.push_back(q.front().port);
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), 5u);
+  while (!q.empty()) {
+    out.push_back(q.front().port);
+    q.pop_front();
+  }
+  std::vector<int> want(15);
+  for (int i = 0; i < 15; ++i) want[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(out, want);
+}
+
+TEST(Firing, SinkScanReportsFramesAndCountsEndOfStream) {
+  const std::vector<Item> popped{token(tok::kEndOfFrame, 7), px(1),
+                                 token(tok::kEndOfStream),
+                                 token(tok::kEndOfLine),
+                                 token(tok::kEndOfStream)};
+  std::vector<std::int64_t> frames;
+  EXPECT_EQ(scan_sink_tokens(popped,
+                             [&](std::int64_t f) { frames.push_back(f); }),
+            2);
+  EXPECT_EQ(frames, (std::vector<std::int64_t>{7}));
+}
+
+TEST(Firing, FrameCursorOpensAFrameAtTheFirstPixel) {
+  FrameCursor c;
+  const Item pixel = px(1), eol = token(tok::kEndOfLine),
+             eof = token(tok::kEndOfFrame), eos = token(tok::kEndOfStream);
+  EXPECT_TRUE(c.step(pixel));  // opens frame 0
+  EXPECT_EQ(c.index, 0);
+  EXPECT_FALSE(c.step(pixel));
+  EXPECT_FALSE(c.step(eol));
+  EXPECT_FALSE(c.step(eof));
+  EXPECT_TRUE(c.at_start);
+  EXPECT_EQ(c.index, 1);
+  EXPECT_TRUE(c.step(pixel));  // opens frame 1
+  EXPECT_FALSE(c.step(eof));
+  EXPECT_FALSE(c.step(eos));
+  EXPECT_EQ(c.index, 2);
 }
 
 }  // namespace

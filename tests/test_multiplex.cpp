@@ -35,10 +35,11 @@ TEST(Multiplex, PinsSourcesAndInitialInputBuffers) {
   for (KernelId k : pinned) {
     const int core = app.mapping.core_of[static_cast<size_t>(k)];
     for (int j = 0; j < app.graph.kernel_count(); ++j)
-      if (j != k)
+      if (j != k) {
         EXPECT_NE(app.mapping.core_of[static_cast<size_t>(j)], core)
             << app.graph.kernel(j).name() << " shares a core with pinned "
             << app.graph.kernel(k).name();
+      }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -296,7 +297,9 @@ TEST(PredictComposition, SourcesAreFree) {
     }
   EXPECT_TRUE(saw_source);
   for (const auto& cp : pred.cores)
-    if (cp.source_only) EXPECT_NE(cp.core, pred.bottleneck_core);
+    if (cp.source_only) {
+      EXPECT_NE(cp.core, pred.bottleneck_core);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -474,6 +477,10 @@ const SuiteCase kFig13Suite[] = {
     {"fig1b", suite_fig1b},
 };
 
+// Names each case by its suite name; gtest would otherwise print the
+// pointers' bytes, which change with every run.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << c.name; }
+
 class Fig13Predict : public ::testing::TestWithParam<SuiteCase> {};
 
 TEST_P(Fig13Predict, PeriodWithinDocumentedToleranceOfSimulator) {
@@ -491,9 +498,7 @@ TEST_P(Fig13Predict, PeriodWithinDocumentedToleranceOfSimulator) {
   EXPECT_TRUE(pred.meets_realtime);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Suite, Fig13Predict, ::testing::ValuesIn(kFig13Suite),
-    [](const ::testing::TestParamInfo<SuiteCase>& i) { return i.param.name; });
+INSTANTIATE_TEST_SUITE_P(Suite, Fig13Predict, ::testing::ValuesIn(kFig13Suite));
 
 // ---------------------------------------------------------------------------
 // Differential property tests over the randomized-pipeline generator:

@@ -148,8 +148,9 @@ TEST(ReuseOpt, MultiInputKernelsFallBackToRoundRobin) {
   CompiledApp app = compile(apps::figure1_app({48, 36}, 420.0, 1, 64), opt);
   for (int k = 0; k < app.graph.kernel_count(); ++k) {
     const std::string& n = app.graph.kernel(k).name();
-    if (n.rfind("subtract", 0) == 0)
+    if (n.rfind("subtract", 0) == 0) {
       EXPECT_EQ(n.find("obuf"), std::string::npos);
+    }
   }
 }
 

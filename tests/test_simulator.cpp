@@ -428,7 +428,6 @@ struct Golden {
 };
 
 TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const Golden golden[] = {
       {"fig1", 0x5a786405c91fcc5fULL, 0x6ea729417ade5332ULL,
        0x17077d4a9ea2f552ULL, 0xa706496045218debULL},
@@ -446,6 +445,7 @@ TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.app);
     EXPECT_EQ(sim_digest(g.app, DigestMode::kPlain), g.plain);
+    if (!obs::kCompiledIn) continue;  // the other modes digest the trace
     EXPECT_EQ(sim_digest(g.app, DigestMode::kRecorded), g.recorded);
     EXPECT_EQ(sim_digest(g.app, DigestMode::kFaulted), g.faulted);
     EXPECT_EQ(sim_digest(g.app, DigestMode::kCongested), g.congested);

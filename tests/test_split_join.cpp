@@ -49,7 +49,9 @@ TEST_P(RoundRobinRoundTrip, SplitThenJoinIsIdentity) {
   ASSERT_EQ(sink.data_count(), c.items);
   int expect = 0;
   for (double v : sink.log)
-    if (v > -1000.0) EXPECT_DOUBLE_EQ(v, expect++);
+    if (v > -1000.0) {
+      EXPECT_DOUBLE_EQ(v, expect++);
+    }
   // One EOF collapsed from the broadcast copies.
   EXPECT_EQ(sink.token_count(tok::kEndOfFrame), 1);
   EXPECT_EQ(sink.token_count(tok::kEndOfStream), 1);
