@@ -137,7 +137,7 @@ KernelPorts wire_kernel(Graph& g, KernelId k) {
 }
 
 long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
-          ExecContext& ctx, EmissionQueue& pending) {
+          ExecContext& ctx, Fifo<Emission>& pending) {
   ctx.reset();
   for (size_t i = 0; i < d.pop_inputs.size(); ++i)
     ctx.bind_input(d.pop_inputs[i], &popped[i]);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/exec_context.h"
+#include "core/fifo.h"
 #include "core/token.h"
 
 namespace bpp {
@@ -43,7 +44,7 @@ using ChannelId = int;  // as in core/graph.h
 /// This is a function_ref, not a std::function: decide_fire runs on every
 /// scheduling step of both engines, and the erased callable it receives is
 /// always a short-lived lambda over the engine's channel state (a lock-free
-/// ring peek in the host runtime, a deque front in the simulator), so the
+/// ring peek in the host runtime, a Fifo front in the simulator), so the
 /// view must not allocate or own. The referenced callable only needs to
 /// outlive the decide_fire/decide_custom call it is passed to.
 class HeadFn {
@@ -97,28 +98,6 @@ struct FireDecision {
 void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
                       const HeadFn& head, FireDecision& out);
 
-/// FIFO of a kernel's emissions not yet on a channel (output back-pressure,
-/// Fig. 9(b)). Unlike std::deque, which frees and re-allocates a block every
-/// dozen items cycled through it, it stops allocating once its capacity
-/// covers the longest backlog.
-class EmissionQueue {
- public:
-  [[nodiscard]] bool empty() const { return head_ == q_.size(); }
-  [[nodiscard]] std::size_t size() const { return q_.size() - head_; }
-  Emission& front() { return q_[head_]; }
-  void push_back(Emission&& e) { q_.push_back(std::move(e)); }
-  /// Compacts once half the slots are consumed: amortized O(1).
-  void pop_front() {
-    if (++head_ * 2 < q_.size()) return;
-    q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-
- private:
-  std::vector<Emission> q_;
-  std::size_t head_ = 0;
-};
-
 /// One kernel's channel wiring for an engine run. The ids index the
 /// engine's own channel storage.
 struct KernelPorts {
@@ -127,7 +106,7 @@ struct KernelPorts {
   std::vector<std::vector<ChannelId>> out_channels;  ///< per output port
   std::vector<ChannelId> outs;  ///< every output channel, flattened
   bool is_sink = false;         ///< a non-source kernel with no outputs
-  EmissionQueue pending;
+  Fifo<Emission> pending;  ///< emissions not yet on a channel
 };
 
 /// Wire kernel `k` of `g`, reset it (init()) and stage its initial
@@ -141,7 +120,7 @@ struct KernelPorts {
 /// (the token-forwarding FSM step). `ctx` keeps the firing's dynamic-cycle
 /// report.
 long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
-          ExecContext& ctx, EmissionQueue& pending);
+          ExecContext& ctx, Fifo<Emission>& pending);
 
 /// Move `p.pending` onto its channels, in order, while every channel of the
 /// head emission's port has room: `has_space(outs)` checks a port's

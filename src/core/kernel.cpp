@@ -150,13 +150,33 @@ MethodDef& Kernel::method_mut(const std::string& method_name) {
   throw GraphError(name_ + ": no method '" + method_name + "'");
 }
 
+void Kernel::require_ctx(const char* what) const {
+  if (!ctx_)
+    throw ExecutionError(name_ + ": " + what + " outside method execution");
+}
+
+int Kernel::output_for(const char* what, const std::string& port_name) const {
+  require_ctx(what);
+  const int o = output_index(port_name);
+  if (o < 0)
+    throw ExecutionError(name_ + ": " + what + " to unknown port '" +
+                         port_name + "'");
+  return o;
+}
+
 const Tile& Kernel::read_input(const std::string& port_name) const {
-  if (!ctx_) throw ExecutionError(name_ + ": read_input outside method execution");
-  int i = input_index(port_name);
+  require_ctx("read_input");
+  const int i = input_index(port_name);
   if (i < 0) throw ExecutionError(name_ + ": read_input of unknown port '" + port_name + "'");
-  const Item* it = ctx_->input(i);
+  return read_input(i);
+}
+
+const Tile& Kernel::read_input(int port) const {
+  require_ctx("read_input");
+  const Item* it = ctx_->input(port);
   if (!it || !is_data(*it))
-    throw ExecutionError(name_ + ": no data bound to input '" + port_name +
+    throw ExecutionError(name_ + ": no data bound to input '" +
+                         inputs_.at(static_cast<size_t>(port)).spec.name +
                          "' for this firing");
   return as_tile(*it);
 }
@@ -170,40 +190,48 @@ bool Kernel::has_input(const std::string& port_name) const {
 }
 
 void Kernel::write_output(const std::string& port_name, Tile t) {
-  write_output_charged(port_name, std::move(t), -1);
+  write_output_at(output_for("write_output", port_name), std::move(t), -1);
 }
 
 void Kernel::write_output_charged(const std::string& port_name, Tile t,
                                   long charge_words) {
-  if (!ctx_) throw ExecutionError(name_ + ": write_output outside method execution");
-  int o = output_index(port_name);
-  if (o < 0)
-    throw ExecutionError(name_ + ": write_output to unknown port '" + port_name + "'");
-  const PortSpec& spec = outputs_[static_cast<size_t>(o)].spec;
+  write_output_at(output_for("write_output", port_name), std::move(t),
+                  charge_words);
+}
+
+void Kernel::write_output(int port, Tile t) {
+  require_ctx("write_output");
+  write_output_at(port, std::move(t), -1);
+}
+
+void Kernel::write_output_at(int o, Tile t, long charge_words) {
+  const PortSpec& spec = outputs_.at(static_cast<size_t>(o)).spec;
   if (t.size() != spec.window)
-    throw ExecutionError(name_ + ": output '" + port_name + "' expects " +
+    throw ExecutionError(name_ + ": output '" + spec.name + "' expects " +
                          to_string(spec.window) + " tile, got " + to_string(t.size()));
   ctx_->emit(o, std::move(t), charge_words);
 }
 
 void Kernel::emit_token(const std::string& port_name, TokenClass cls,
                         std::int64_t payload) {
-  if (!ctx_) throw ExecutionError(name_ + ": emit_token outside method execution");
-  int o = output_index(port_name);
-  if (o < 0)
-    throw ExecutionError(name_ + ": emit_token to unknown port '" + port_name + "'");
+  emit_token(output_for("emit_token", port_name), cls, payload);
+}
+
+void Kernel::emit_token(int port, TokenClass cls, std::int64_t payload) {
+  require_ctx("emit_token");
   if (cls >= tok::kFirstUser) {
     // User tokens must have been declared with a rate bound (§II-C).
     bool declared = false;
     for (const MethodDef& m : methods_)
       for (const TokenEmission& te : m.token_outputs)
-        declared = declared || (te.port == o && te.cls == cls);
+        declared = declared || (te.port == port && te.cls == cls);
     if (!declared)
       throw ExecutionError(name_ + ": user token " + token_class_name(cls) +
-                           " emitted on '" + port_name +
+                           " emitted on '" +
+                           outputs_.at(static_cast<size_t>(port)).spec.name +
                            "' without a declared rate (§II-C)");
   }
-  ctx_->emit(o, ControlToken{cls, payload});
+  ctx_->emit(port, ControlToken{cls, payload});
 }
 
 void Kernel::report_cycles(long cycles) {

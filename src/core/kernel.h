@@ -236,6 +236,11 @@ class Kernel {
   /// Emit a control token on output `port_name`.
   void emit_token(const std::string& port_name, TokenClass cls,
                   std::int64_t payload = 0);
+  /// The same three by port index, for kernels that resolve their ports
+  /// once in configure() rather than by name on every firing.
+  [[nodiscard]] const Tile& read_input(int port) const;
+  void write_output(int port, Tile t);
+  void emit_token(int port, TokenClass cls, std::int64_t payload = 0);
   /// Mutable access to a registered method (e.g. to re-derive resource
   /// numbers after a compiler pass reshapes the kernel).
   [[nodiscard]] MethodDef& method_mut(const std::string& method_name);
@@ -250,6 +255,11 @@ class Kernel {
  private:
   MethodDef& register_method_impl(const std::string& method_name, Resources res,
                                   MethodBody body);
+  void require_ctx(const char* what) const;
+  /// Index of output `port_name`; throws for an unknown port.
+  [[nodiscard]] int output_for(const char* what,
+                               const std::string& port_name) const;
+  void write_output_at(int o, Tile t, long charge_words);
 
   std::string name_;
   std::vector<InputPort> inputs_;

@@ -98,7 +98,9 @@ class SpscRing {
   [[nodiscard]] bool empty() { return front() == nullptr; }
 
   /// Consumer: discard the head item (must exist). Clears the slot before
-  /// publishing it so payload memory (tiles) is released promptly.
+  /// publishing it so payload memory (tiles) is released promptly. T() is
+  /// cheap for Items: Tile's default constructor leaves its inline buffer
+  /// unwritten, here and in the slot array the constructor allocates.
   void pop() {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     buf_[h & mask_] = T();

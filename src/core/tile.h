@@ -16,10 +16,20 @@
 //     never allowed;
 //   - rows are contiguous with stride() == width() doubles (no inter-row
 //     padding), so the whole tile is also one contiguous span of words().
+//
+// Storage (DESIGN.md §4.4): a tile whose elements plus pad fit in
+// kInlineDoubles lives in a buffer inside the Tile itself, so the 1x1 and
+// 5x1 items on most channels never touch the heap. Larger tiles take a
+// plain ::operator new block, aligned by hand, which the allocator's
+// per-thread cache serves (the align_val_t overload is memalign on glibc,
+// which bypasses that cache and takes the arena lock). Either way, data()
+// belongs to the tile's current storage: a move copies an inline buffer,
+// so a pointer taken before moving a small tile does not follow it.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <vector>
@@ -34,8 +44,15 @@ class Tile {
   static constexpr int kPadDoubles = 8;
   /// Alignment of data() in bytes.
   static constexpr std::size_t kAlignBytes = 64;
+  /// Doubles of in-object storage: tiles of up to kInlineDoubles -
+  /// kPadDoubles elements allocate nothing. Covers 1x1, 5x1 and 1x5; a
+  /// buffer that also held 5x5 windows made every channel slot larger and
+  /// both engines slower (EXPERIMENTS.md).
+  static constexpr std::size_t kInlineDoubles = 16;
 
-  Tile() = default;
+  /// Empty. User-provided so that value-initialized slot arrays do not
+  /// zero-fill the inline buffer.
+  Tile() noexcept {}  // NOLINT(modernize-use-equals-default)
   Tile(int w, int h) : size_{w, h} {
     assert(w >= 0 && h >= 0);
     if (area() > 0) allocate(0.0);
@@ -48,35 +65,28 @@ class Tile {
   Tile(const Tile& o) : size_(o.size_) {
     if (o.data_) {
       allocate_raw();
-      std::memcpy(data_, o.data_, (area() + kPadDoubles) * sizeof(double));
+      std::memcpy(data_, o.data_, storage_doubles() * sizeof(double));
     }
   }
-  Tile(Tile&& o) noexcept : size_(o.size_), data_(o.data_) {
-    o.size_ = {0, 0};
-    o.data_ = nullptr;
-  }
+  Tile(Tile&& o) noexcept { steal(o); }
   Tile& operator=(const Tile& o) {
-    if (this != &o) {
-      Tile tmp(o);
-      swap(tmp);
-    }
+    if (this != &o) *this = Tile(o);
     return *this;
   }
   Tile& operator=(Tile&& o) noexcept {
     if (this != &o) {
       release();
-      size_ = o.size_;
-      data_ = o.data_;
-      o.size_ = {0, 0};
-      o.data_ = nullptr;
+      steal(o);
     }
     return *this;
   }
   ~Tile() { release(); }
 
   void swap(Tile& o) noexcept {
-    std::swap(size_, o.size_);
-    std::swap(data_, o.data_);
+    if (this == &o) return;
+    Tile tmp(std::move(o));
+    o = std::move(*this);
+    *this = std::move(tmp);
   }
 
   [[nodiscard]] Size2 size() const { return size_; }
@@ -163,22 +173,57 @@ class Tile {
     return v;
   }
 
+  [[nodiscard]] bool is_inline() const { return data_ == inline_; }
+  /// Doubles copied with the tile: the whole inline buffer, or the heap
+  /// block's elements and pad.
+  [[nodiscard]] std::size_t storage_doubles() const {
+    return is_inline() ? kInlineDoubles : area() + kPadDoubles;
+  }
+
   void allocate_raw() {
-    data_ = static_cast<double*>(::operator new(
-        (area() + kPadDoubles) * sizeof(double), std::align_val_t{kAlignBytes}));
+    const std::size_t n = area() + kPadDoubles;
+    if (n <= kInlineDoubles) {
+      data_ = inline_;
+      return;
+    }
+    // Over-allocate by one alignment unit and round up; the block's base
+    // pointer sits in the slack just below data(), which ::operator new's
+    // own alignment guarantees is at least one pointer wide.
+    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
+    void* base = ::operator new(n * sizeof(double) + kAlignBytes);
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(base) + kAlignBytes) &
+        ~std::uintptr_t{kAlignBytes - 1};
+    data_ = reinterpret_cast<double*>(aligned);
+    reinterpret_cast<void**>(data_)[-1] = base;
   }
   void allocate(double fill) {
     allocate_raw();
     std::fill_n(data_, area(), fill);
-    std::fill_n(data_ + area(), kPadDoubles, 0.0);  // deterministic over-reads
+    // Deterministic over-reads (and whole-buffer copies of inline tiles).
+    std::fill(data_ + area(), data_ + storage_doubles(), 0.0);
+  }
+  /// Take `o`'s storage, leaving it empty.
+  void steal(Tile& o) noexcept {
+    size_ = o.size_;
+    if (o.is_inline()) {
+      std::memcpy(inline_, o.inline_, sizeof inline_);
+      data_ = inline_;
+    } else {
+      data_ = o.data_;
+    }
+    o.size_ = {0, 0};
+    o.data_ = nullptr;
   }
   void release() {
-    if (data_) ::operator delete(data_, std::align_val_t{kAlignBytes});
+    if (data_ && !is_inline())
+      ::operator delete(reinterpret_cast<void**>(data_)[-1]);
     data_ = nullptr;
   }
 
   Size2 size_{0, 0};
-  double* data_ = nullptr;
+  double* data_ = nullptr;  ///< inline_, a heap block, or null when empty
+  alignas(kAlignBytes) double inline_[kInlineDoubles];
 };
 
 }  // namespace bpp

@@ -42,12 +42,14 @@ SplitKernel::SplitKernel(std::string name,
 
 void SplitKernel::configure() {
   create_input("in", item_, step_, {0.0, 0.0});
+  in_ = input_index("in");
   auto& route = register_method("route", Resources{8, 8},
                                 &SplitKernel::route);
   method_input(route, "in");
   for (int i = 0; i < n_; ++i) {
     create_output(branch_name("out", i), item_, step_);
     method_output(route, branch_name("out", i));
+    outs_.push_back(output_index(branch_name("out", i)));
   }
   auto& eol = register_method("eol", Resources{2 + n_, 0}, &SplitKernel::on_eol);
   method_input(eol, "in", tok::kEndOfLine);
@@ -68,22 +70,21 @@ void SplitKernel::init() {
 }
 
 void SplitKernel::route() {
-  const Tile& t = read_input("in");
+  const Tile& t = read_input(in_);
   if (mode_ == Mode::RoundRobin) {
-    write_output(branch_name("out", rr_), t);
+    write_output(outs_[static_cast<size_t>(rr_)], t);
     rr_ = (rr_ + 1) % n_;
   } else {
     for (int i = 0; i < n_; ++i)
       if (x_ >= ranges_[static_cast<size_t>(i)].first &&
           x_ < ranges_[static_cast<size_t>(i)].second)
-        write_output(branch_name("out", i), t);
+        write_output(outs_[static_cast<size_t>(i)], t);
     if (++x_ == items_per_line_) x_ = 0;
   }
 }
 
 void SplitKernel::broadcast(TokenClass cls) {
-  for (int i = 0; i < n_; ++i)
-    emit_token(branch_name("out", i), cls, trigger_payload());
+  for (int o : outs_) emit_token(o, cls, trigger_payload());
 }
 
 void SplitKernel::on_eol() {
@@ -135,6 +136,7 @@ void JoinKernel::configure() {
     method_input(take, branch_name("in", i));
   }
   create_output("out", item_, step_);
+  out_ = output_index("out");
   method_output(take, "out");
 
   auto& eol = register_method("eol", Resources{3, 0}, &JoinKernel::on_eol);
@@ -209,7 +211,8 @@ std::optional<FireDecision> JoinKernel::decide_custom(
 }
 
 void JoinKernel::take() {
-  write_output("out", read_input(branch_name("in", cur_)));
+  // Branch i is input port i, as decide_custom assumes.
+  write_output(out_, read_input(cur_));
   advance();
 }
 
@@ -228,7 +231,7 @@ void JoinKernel::advance() {
 
 void JoinKernel::on_eol() {
   if (mode_ == Mode::RunLength) reset_line();
-  emit_token("out", tok::kEndOfLine, trigger_payload());
+  emit_token(out_, tok::kEndOfLine, trigger_payload());
 }
 
 void JoinKernel::on_eof() {
@@ -236,7 +239,7 @@ void JoinKernel::on_eof() {
     reset_line();
   else
     cur_ = 0;
-  emit_token("out", tok::kEndOfFrame, trigger_payload());
+  emit_token(out_, tok::kEndOfFrame, trigger_payload());
 }
 
 void JoinKernel::on_eos() {
@@ -244,7 +247,7 @@ void JoinKernel::on_eos() {
     reset_line();
   else
     cur_ = 0;
-  emit_token("out", tok::kEndOfStream, trigger_payload());
+  emit_token(out_, tok::kEndOfStream, trigger_payload());
 }
 
 // ------------------------------------------------------------ Replicate
@@ -256,18 +259,20 @@ ReplicateKernel::ReplicateKernel(std::string name, int n, Size2 item, Step2 step
 
 void ReplicateKernel::configure() {
   create_input("in", item_, step_, {0.0, 0.0});
+  in_ = input_index("in");
   auto& copy = register_method("copy", Resources{4 + n_ * item_.area(), 8},
                                &ReplicateKernel::copy_all);
   method_input(copy, "in");
   for (int i = 0; i < n_; ++i) {
     create_output(branch_name("out", i), item_, step_);
     method_output(copy, branch_name("out", i));
+    outs_.push_back(output_index(branch_name("out", i)));
   }
 }
 
 void ReplicateKernel::copy_all() {
-  const Tile& t = read_input("in");
-  for (int i = 0; i < n_; ++i) write_output(branch_name("out", i), t);
+  const Tile& t = read_input(in_);
+  for (int o : outs_) write_output(o, t);
 }
 
 }  // namespace bpp

@@ -65,6 +65,8 @@ class SplitKernel final : public Kernel {
   Step2 step_;
   std::vector<std::pair<int, int>> ranges_;
   int items_per_line_ = 0;
+  int in_ = -1;            ///< port indices, resolved in configure()
+  std::vector<int> outs_;  ///< output port of each branch
 
   int rr_ = 0;  ///< next branch (RoundRobin)
   int x_ = 0;   ///< position in line (ColumnRanges)
@@ -110,6 +112,7 @@ class JoinKernel final : public Kernel {
   Size2 item_;
   Step2 step_;
   std::vector<int> runs_;
+  int out_ = -1;  ///< resolved in configure()
 
   int cur_ = 0;    ///< branch currently being drained
   int taken_ = 0;  ///< items taken from cur_ in this run (RunLength)
@@ -135,6 +138,8 @@ class ReplicateKernel final : public Kernel {
   int n_;
   Size2 item_;
   Step2 step_;
+  int in_ = -1;            ///< port indices, resolved in configure()
+  std::vector<int> outs_;  ///< output port of each branch
 };
 
 }  // namespace bpp

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -56,7 +55,7 @@ struct TimedItem {
 };
 
 struct ChannelState {
-  std::deque<TimedItem> q;
+  Fifo<TimedItem> q;
   KernelId producer = -1;  ///< readied when a pop frees space
   KernelId consumer = -1;  ///< readied when a pushed item becomes visible
 };
@@ -577,8 +576,8 @@ class Sim {
   void retime_recent(KernelId k, double avail) {
     for (ChannelId c : kstate_[static_cast<size_t>(k)].ports.outs) {
       auto& q = channels_[static_cast<size_t>(c)].q;
-      for (auto it = q.rbegin(); it != q.rend() && std::isinf(it->avail); ++it)
-        it->avail = avail;
+      for (size_t i = q.size(); i > 0 && std::isinf(q[i - 1].avail); --i)
+        q[i - 1].avail = avail;
     }
   }
 

@@ -15,8 +15,9 @@
 #include "kernels/histogram.h"
 #include "test_util.h"
 
-// Every allocation in this binary goes through these, so a test can count
-// the heap allocations of a region of code.
+// Every allocation in this binary goes through these, plain and
+// over-aligned alike (containers of Items use the align_val_t forms), so a
+// test can count the heap allocations of a region of code.
 namespace {
 long g_allocations = 0;
 }  // namespace
@@ -26,10 +27,24 @@ long g_allocations = 0;
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a whole, nonzero number of alignment units.
+  if (void* p = std::aligned_alloc(a, (n / a + 1) * a)) return p;
+  throw std::bad_alloc();
+}
 // All out of line, so the compiler sees new paired with delete rather than
 // malloc with delete (-Wmismatched-new-delete).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -249,7 +264,7 @@ TEST(Firing, FireRunsMethodOrForwardsOntoPending) {
   auto sub = make_subtract("sub");
   sub->ensure_configured();
   ExecContext ctx;
-  EmissionQueue pending;
+  Fifo<Emission> pending;
 
   std::vector<Item> popped{px(5), px(3)};
   FireDecision d = decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
@@ -301,6 +316,42 @@ TEST(Firing, WarmFireStepDoesNotAllocate) {
   EXPECT_EQ(pushed, 202);
 }
 
+TEST(Firing, WarmDataFireStepDoesNotAllocate) {
+  // The common item: a 1x1 tile in, a 1x1 tile out. Inline tile storage
+  // keeps the whole step, method and drain, off the heap once warm.
+  auto sub = make_subtract("sub");
+  sub->ensure_configured();
+  const std::vector<Item> popped{px(5), px(3)};
+  const FireDecision d =
+      decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
+  ASSERT_EQ(d.kind, FireDecision::Kind::Method);
+  ExecContext ctx;
+  KernelPorts ports;
+  ports.out_channels = {{0}};
+  double sum = 0.0;
+  auto step = [&] {
+    fire(*sub, d, popped, ctx, ports.pending);
+    return drain_pending(
+        ports, [](const std::vector<ChannelId>&) { return true; },
+        [&](const std::vector<ChannelId>&, Emission& e) {
+          sum += as_tile(e.item).at(0, 0);
+        });
+  };
+  ASSERT_TRUE(step());  // warm-up
+
+  long before = g_allocations;
+  bool drained = true;
+  for (int i = 0; i < 100; ++i) drained = step() && drained;
+  EXPECT_EQ(g_allocations - before, 0);
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(sum, 101 * 2.0);
+
+  // Control: the counter sees tile storage, so the zero above is earned.
+  before = g_allocations;
+  const Tile window(5, 5);
+  EXPECT_EQ(g_allocations - before, 1);
+}
+
 TEST(Firing, DrainStopsAtFirstPortWithoutSpace) {
   KernelPorts ports;
   ports.out_channels = {{0}, {1}};
@@ -315,24 +366,31 @@ TEST(Firing, DrainStopsAtFirstPortWithoutSpace) {
   EXPECT_EQ(ports.pending.size(), 2u);
 }
 
-TEST(Firing, EmissionQueueIsFifoAcrossCompaction) {
-  EmissionQueue q;
+TEST(Firing, FifoKeepsOrderAcrossWrapAndGrowth) {
+  Fifo<Emission> q;
   std::vector<int> out;
   int next = 0;
-  for (int round = 0; round < 5; ++round) {
+  // Net growth of one per round: the head wraps the first ring and the
+  // ring later grows while wrapped.
+  for (int round = 0; round < 12; ++round) {
     for (int i = 0; i < 3; ++i) q.push_back({next++, token(tok::kEndOfLine)});
     for (int i = 0; i < 2; ++i) {
       out.push_back(q.front().port);
       q.pop_front();
     }
   }
-  EXPECT_EQ(q.size(), 5u);
+  ASSERT_EQ(q.size(), 12u);
+  // Indexed from the front: the walk back over the newest items.
+  for (std::size_t i = q.size(); i > 0; --i)
+    EXPECT_EQ(q[i - 1].port, 24 + static_cast<int>(i) - 1);
+  const Fifo<Emission>& cq = q;
+  EXPECT_EQ(cq.front().port, 24);
   while (!q.empty()) {
     out.push_back(q.front().port);
     q.pop_front();
   }
-  std::vector<int> want(15);
-  for (int i = 0; i < 15; ++i) want[static_cast<size_t>(i)] = i;
+  std::vector<int> want(36);
+  for (int i = 0; i < 36; ++i) want[static_cast<size_t>(i)] = i;
   EXPECT_EQ(out, want);
 }
 

@@ -6,9 +6,45 @@
 #include <utility>
 
 #include "core/tile.h"
+#include "core/token.h"
 
 namespace bpp {
 namespace {
+
+// Channel slots hold Items, so the inline buffer sets every slot's size.
+static_assert(sizeof(Item) <= 256, "DESIGN.md §4.4 bounds an Item at 256 bytes");
+
+/// The largest tile stored inline (2x4: 8 elements + 8 pad doubles fill
+/// the 16-double buffer) and the smallest on the heap (3x3).
+constexpr Size2 kLargestInline{2, 4};
+constexpr Size2 kSmallestHeap{3, 3};
+static_assert(kLargestInline.area() + Tile::kPadDoubles ==
+              static_cast<long>(Tile::kInlineDoubles));
+static_assert(kSmallestHeap.area() + Tile::kPadDoubles >
+              static_cast<long>(Tile::kInlineDoubles));
+
+/// Fills `s` with distinct values starting at `base`.
+Tile numbered(Size2 s, double base) {
+  Tile t(s);
+  for (int y = 0; y < s.h; ++y)
+    for (int x = 0; x < s.w; ++x) t.at(x, y) = base + x + 10 * y;
+  return t;
+}
+
+/// The storage contract: `s` dense rows numbered from `base`, data()
+/// aligned, kPadDoubles zeroed doubles past the last element.
+void expect_contract(const Tile& t, Size2 s, double base) {
+  ASSERT_EQ(t.size(), s);
+  ASSERT_FALSE(t.empty());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data()) % Tile::kAlignBytes, 0u);
+  EXPECT_EQ(t.stride(), s.w);
+  for (int y = 0; y < s.h; ++y) {
+    EXPECT_EQ(t.row_ptr(y), t.data() + static_cast<std::ptrdiff_t>(y) * s.w);
+    for (int x = 0; x < s.w; ++x) EXPECT_EQ(t.at(x, y), base + x + 10 * y);
+  }
+  const double* past = t.data() + s.area();
+  for (int i = 0; i < Tile::kPadDoubles; ++i) EXPECT_EQ(past[i], 0.0) << i;
+}
 
 TEST(Tile, ConstructionAndAccess) {
   Tile t(4, 3);
@@ -51,7 +87,9 @@ TEST(Tile, AlignedAndPadded) {
   // every row may be over-read by one vector width — the last row's
   // overhang lands in kPadDoubles of zeroed slack (ASan would flag this
   // loop if the pad were missing).
-  for (const Size2 s : {Size2{1, 1}, Size2{3, 2}, Size2{7, 5}, Size2{64, 3}}) {
+  for (const Size2 s : {Size2{1, 1}, Size2{3, 2}, Size2{7, 5}, Size2{64, 3},
+                       kLargestInline, Size2{8, 1}, kSmallestHeap,
+                       Size2{9, 1}}) {
     Tile t(s, 1.5);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data()) % Tile::kAlignBytes,
               0u);
@@ -74,6 +112,62 @@ TEST(Tile, CopyPreservesContentsAndPad) {
   Tile m = std::move(d);  // move leaves source empty
   EXPECT_EQ(m, t);
   EXPECT_TRUE(d.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Tile, StorageContractHoldsAcrossCopyAndMove) {
+  for (const Size2 s : {kLargestInline, kSmallestHeap}) {
+    SCOPED_TRACE(to_string(s));
+    const Tile src = numbered(s, 1.0);
+    expect_contract(src, s, 1.0);
+
+    Tile copy(src);
+    expect_contract(copy, s, 1.0);
+    EXPECT_NE(copy.data(), src.data());
+    Tile assigned(kSmallestHeap);  // replaced storage of either kind
+    assigned = src;
+    expect_contract(assigned, s, 1.0);
+
+    Tile moved(std::move(copy));
+    expect_contract(moved, s, 1.0);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.words(), 0);
+    Tile move_assigned(kLargestInline);
+    move_assigned = std::move(moved);
+    expect_contract(move_assigned, s, 1.0);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+
+    // A moved-from tile is reusable.
+    moved = numbered(s, 5.0);
+    expect_contract(moved, s, 5.0);
+  }
+}
+
+TEST(Tile, SwapExchangesInlineAndHeapStorage) {
+  Tile a = numbered(kLargestInline, 1.0);
+  Tile b = numbered(Size2{1, 1}, 2.0);
+  a.swap(b);  // inline <-> inline
+  expect_contract(a, Size2{1, 1}, 2.0);
+  expect_contract(b, kLargestInline, 1.0);
+
+  Tile h = numbered(kSmallestHeap, 3.0);
+  a.swap(h);  // inline <-> heap
+  expect_contract(a, kSmallestHeap, 3.0);
+  expect_contract(h, Size2{1, 1}, 2.0);
+  h.swap(a);  // heap <-> inline, from the other side
+  expect_contract(h, kSmallestHeap, 3.0);
+  expect_contract(a, Size2{1, 1}, 2.0);
+
+  Tile e;
+  e.swap(a);  // empty <-> inline
+  expect_contract(e, Size2{1, 1}, 2.0);
+  EXPECT_TRUE(a.empty());
+
+  for (Tile* t : {&e, &h}) {  // self-swap, inline and heap
+    t->swap(*t);
+    EXPECT_FALSE(t->empty());
+  }
+  expect_contract(e, Size2{1, 1}, 2.0);
+  expect_contract(h, kSmallestHeap, 3.0);
 }
 
 TEST(Tile, Equality) {
