@@ -15,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "apps/random_chain.h"
 #include "core/tile.h"
 #include "kernels/simd/simd.h"
 
 namespace {
 
 using bpp::Tile;
+using bpp::apps::splitmix;
 using bpp::simd::Isa;
 using bpp::simd::Ops;
 
@@ -28,13 +30,6 @@ constexpr int kFrame = 256;
 constexpr int kTaps = 32;
 constexpr int kBins = 32;
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 Tile random_frame(int w, int h, std::uint64_t seed) {
   Tile t(w, h);

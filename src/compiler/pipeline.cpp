@@ -1,5 +1,7 @@
 #include "compiler/pipeline.h"
 
+#include <algorithm>
+
 #include "core/validation.h"
 
 namespace bpp {
@@ -36,6 +38,13 @@ CompiledApp compile(Graph g, CompileOptions options) {
   app.analysis = std::move(df);
   app.loads = std::move(loads);
   return app;
+}
+
+double declared_rate(const CompiledApp& app, double slowdown) {
+  double rate = 0.0;
+  for (const KernelAnalysis& ka : app.analysis.kernel)
+    rate = std::max(rate, ka.rate_hz);
+  return slowdown > 0.0 ? rate / slowdown : rate;
 }
 
 }  // namespace bpp

@@ -48,4 +48,9 @@ struct CompiledApp {
 
 [[nodiscard]] CompiledApp compile(Graph g, CompileOptions options = {});
 
+/// The fastest rate the data-flow analysis assigned — the input frame rate
+/// for every bundled pipeline — stretched by `slowdown` when the app runs
+/// on a slower (paced) schedule. A `slowdown` <= 0 leaves it unstretched.
+[[nodiscard]] double declared_rate(const CompiledApp& app, double slowdown);
+
 }  // namespace bpp

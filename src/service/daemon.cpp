@@ -58,15 +58,6 @@ TenantState state_from_name(const std::string& name) {
 
 namespace {
 
-/// The fastest rate the data-flow analysis assigned — the input frame
-/// rate — stretched by the paced slowdown the tenant runs under.
-double declared_rate(const CompiledApp& app, double slowdown) {
-  double rate = 0.0;
-  for (const KernelAnalysis& ka : app.analysis.kernel)
-    rate = std::max(rate, ka.rate_hz);
-  return slowdown > 0.0 ? rate / slowdown : rate;
-}
-
 Verdict verdict_from_name(const std::string& name) {
   if (name == "admitted") return Verdict::kAdmitted;
   if (name == "degraded") return Verdict::kDegraded;

@@ -47,6 +47,11 @@ namespace {
 
 /// Instants closer than this are one instant.
 constexpr double kEps = 1e-15;
+/// Release lag a source may accrue before the release is late, in input
+/// pixel periods.
+constexpr double kLagTolerancePeriods = 1.0;
+/// Abort after this many simulated firings (runaway guard).
+constexpr long kMaxFirings = 500'000'000;
 
 struct TimedItem {
   Item item;
@@ -232,7 +237,7 @@ class Sim {
             acted = true;
           }
         }
-        if (res_.total_firings > opt_.max_firings) {
+        if (res_.total_firings > kMaxFirings) {
           res_.diagnostics = "aborted: firing limit exceeded";
           finish(now);
           return std::move(res_);
@@ -349,6 +354,12 @@ class Sim {
     if (!s.have_next) s.exhausted = true;
   }
 
+  /// The late-release rule: a camera cannot wait, so a release more than
+  /// the tolerance behind its schedule misses real time.
+  [[nodiscard]] bool late(double lag) const {
+    return lag > kLagTolerancePeriods * pixel_period_ + 1e-12;
+  }
+
   bool push_source(SourceState& s, double now) {
     const KernelPorts& ports = kstate_[static_cast<size_t>(s.id)].ports;
     const auto& outs = ports.out_channels[static_cast<size_t>(s.next.port)];
@@ -376,9 +387,7 @@ class Sim {
       wake_.push(Wake{avail, Wake::Kind::kDelivery, s.id});
     // Input releases happen off-core (the "sources" track).
     if (obs::kCompiledIn && ring_) {
-      ring_->emit(obs::source_release(
-          now, s.id, -1, lag,
-          lag > opt_.lag_tolerance_periods * pixel_period_ + 1e-12));
+      ring_->emit(obs::source_release(now, s.id, -1, lag, late(lag)));
       if (opens_frame)
         ring_->emit(obs::frame_instant(obs::EventKind::kFrameStart, now,
                                        s.id, -1, s.frame.index));
@@ -596,9 +605,7 @@ class Sim {
       os << leftover << " items left in flight";
       res_.diagnostics = os.str();
     }
-    const double tolerance = opt_.lag_tolerance_periods * pixel_period_;
-    res_.realtime_met = res_.completed &&
-                        res_.max_input_lag_seconds <= tolerance + 1e-12;
+    res_.realtime_met = res_.completed && !late(res_.max_input_lag_seconds);
 
     if (obs::kCompiledIn && rec_) {
       rec_->finish_session(res_.sim_seconds);

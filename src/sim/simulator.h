@@ -10,8 +10,8 @@
 //
 // Application inputs release items on their real-time schedule; if the
 // downstream graph cannot accept an item when it is released the lag is
-// recorded — a camera cannot wait, so any lag beyond the configured
-// tolerance is a real-time violation.
+// recorded — a camera cannot wait, so any lag beyond one input pixel
+// period is a real-time violation.
 
 #include <string>
 #include <vector>
@@ -35,11 +35,6 @@ struct SimOptions {
   /// Items of slack per channel (the paper's one-iteration implicit buffer
   /// on each side of a channel, plus transfer double-buffering).
   int channel_capacity = 4;
-  /// Real-time tolerance for input release lag, as a multiple of the input
-  /// pixel period.
-  double lag_tolerance_periods = 1.0;
-  /// Abort after this many simulated firings (runaway guard).
-  long max_firings = 500'000'000;
   /// Observability sink (see obs/recorder.h). Null = tracing off. When
   /// set, every firing/write span (with its modeled run/read/write cycle
   /// breakdown), input release, and channel push/pop lands in the

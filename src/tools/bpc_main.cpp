@@ -56,27 +56,7 @@ Graph build(const cli::Args& a) {
     if (!f) throw GraphError("cannot open '" + a.app.substr(1) + "'");
     return read_graph_text(f);
   }
-  if (a.app == "fig1") return apps::figure1_app(a.frame, a.rate, a.frames, a.bins);
-  if (a.app == "bayer") return apps::bayer_app(a.frame, a.rate, a.frames);
-  if (a.app == "histogram")
-    return apps::histogram_app(a.frame, a.rate, a.frames, a.bins);
-  if (a.app == "parallel-buffer")
-    return apps::parallel_buffer_app(a.frame, a.rate, a.frames);
-  if (a.app == "multi-conv")
-    return apps::multi_convolution_app(a.frame, a.rate, a.frames);
-  if (a.app == "pipeline") return apps::pipeline_app(a.frame, a.rate, a.frames);
-  if (a.app == "sobel") return apps::sobel_app(a.frame, a.rate, a.frames, 100.0);
-  if (a.app == "downsample")
-    return apps::downsample_app(a.frame, a.rate, a.frames);
-  if (a.app == "separable")
-    return apps::separable_blur_app(a.frame, a.rate, a.frames);
-  if (a.app == "motion") return apps::motion_app(a.frame, a.rate, a.frames);
-  if (a.app == "feedback")
-    return apps::feedback_app(a.frame, a.rate, a.frames, 0.3);
-  if (a.app == "radio") return apps::radio_app(a.frame.w, a.rate, a.frames);
-  if (a.app == "analytics")
-    return apps::analytics_app(a.frame, a.rate, a.frames);
-  throw GraphError("unknown application '" + a.app + "'");
+  return apps::named_app(a.app, a.frame, a.rate, a.frames, a.bins);
 }
 
 // Write `emit(os)` to `path` ("-" = stdout), throwing bpp::Error on open or
@@ -104,17 +84,6 @@ void write_output_file(const std::string& path, const char* what, Emit emit) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// The fastest rate the data-flow analysis assigned — the input frame rate
-// for every bundled pipeline — stretched by the paced slowdown when the
-// host run followed a slower schedule.
-double declared_rate(const CompiledApp& app, double slowdown) {
-  double rate = 0.0;
-  for (const KernelAnalysis& ka : app.analysis.kernel)
-    rate = std::max(rate, ka.rate_hz);
-  if (slowdown > 0.0) rate /= slowdown;
-  return rate;
 }
 
 // Build the degradation report for an execution. `ctrl` non-null on the

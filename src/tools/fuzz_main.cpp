@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "apps/pipelines.h"
+#include "apps/random_chain.h"
 #include "compiler/pipeline.h"
 #include "fault/degradation.h"
 #include "fault/injector.h"
@@ -54,102 +55,11 @@
 #include "sim/simulator.h"
 
 using namespace bpp;
+using apps::random_stages;
+using apps::splitmix;
+using apps::Stage;
 
 namespace {
-
-std::uint64_t splitmix(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// One randomly chosen stage (mirrors tests/test_random_pipelines.cpp: how
-// it extends the graph and how it transforms the reference frame).
-struct Stage {
-  enum Kind { Conv3, Median3, Sobel, Scale, Threshold, Down2 } kind;
-
-  [[nodiscard]] int shrink() const {
-    switch (kind) {
-      case Conv3:
-      case Median3:
-      case Sobel:
-        return 2;
-      default:
-        return 0;
-    }
-  }
-
-  Kernel* append(Graph& g, int idx) const {
-    const std::string n = "stage" + std::to_string(idx);
-    switch (kind) {
-      case Conv3: {
-        auto& k = g.add<ConvolutionKernel>(n, 3, 3);
-        g.connect(g.add<ConstSource>(n + "_c", apps::blur_coeff3x3()), "out", k,
-                  "coeff");
-        return &k;
-      }
-      case Median3:
-        return &g.add<MedianKernel>(n, 3, 3);
-      case Sobel:
-        return &g.add<SobelKernel>(n);
-      case Scale:
-        return &g.add_kernel(make_scale(n, 0.5, 8.0));
-      case Threshold:
-        return &g.add_kernel(make_threshold(n, 96.0));
-      case Down2:
-        return &g.add<DownsampleKernel>(n, 2);
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] Tile reference(const Tile& in) const {
-    switch (kind) {
-      case Conv3:
-        return ref::convolve(in, apps::blur_coeff3x3());
-      case Median3:
-        return ref::median(in, 3, 3);
-      case Sobel:
-        return ref::sobel(in);
-      case Scale: {
-        Tile out(in.size());
-        for (int y = 0; y < in.height(); ++y)
-          for (int x = 0; x < in.width(); ++x)
-            out.at(x, y) = 0.5 * in.at(x, y) + 8.0;
-        return out;
-      }
-      case Threshold: {
-        Tile out(in.size());
-        for (int y = 0; y < in.height(); ++y)
-          for (int x = 0; x < in.width(); ++x)
-            out.at(x, y) = in.at(x, y) > 96.0 ? 1.0 : 0.0;
-        return out;
-      }
-      case Down2:
-        return ref::downsample(in, 2);
-    }
-    return in;
-  }
-};
-
-std::vector<Stage> random_stages(std::uint64_t& rng, Size2& frame_left) {
-  std::vector<Stage> stages;
-  const int n = 1 + static_cast<int>(splitmix(rng) % 4);
-  for (int i = 0; i < n; ++i) {
-    const auto kind = static_cast<Stage::Kind>(splitmix(rng) % 6);
-    Stage s{kind};
-    Size2 next = {frame_left.w - s.shrink(), frame_left.h - s.shrink()};
-    if (kind == Stage::Down2) next = {frame_left.w / 2, frame_left.h / 2};
-    if (next.w < 8 || next.h < 8) break;
-    if (kind == Stage::Down2 && (frame_left.w % 2 || frame_left.h % 2))
-      continue;
-    stages.push_back(s);
-    frame_left = next;
-  }
-  if (stages.empty()) stages.push_back(Stage{Stage::Scale});
-  return stages;
-}
 
 // An aggressive-but-bounded plan: every fault class is on, so any
 // value-corrupting or determinism-breaking path in the injector or the
@@ -457,7 +367,7 @@ int main(int argc, char** argv) {
     const double rate = 50.0 + static_cast<double>(splitmix(rng) % 300);
     const int nframes = 2;
     Size2 left = frame;
-    const std::vector<Stage> stages = random_stages(rng, left);
+    const std::vector<Stage> stages = random_stages(rng, 4, left);
 
     Graph g;
     Kernel* prev = &g.add<InputKernel>("input", frame, rate, nframes);

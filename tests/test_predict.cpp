@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "apps/pipelines.h"
+#include "apps/random_chain.h"
 #include "compiler/pipeline.h"
 #include "compiler/report.h"
 #include "kernels/feedback.h"
@@ -506,13 +507,7 @@ INSTANTIATE_TEST_SUITE_P(Suite, Fig13Predict, ::testing::ValuesIn(kFig13Suite));
 // feedback) must predict within the documented tolerance of the
 // simulator, across seeds and machine pressures.
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using apps::splitmix;
 
 /// One random stage; windowed picks exercise trim alignment, Down2
 /// exercises resampling.

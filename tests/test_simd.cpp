@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/pipelines.h"
+#include "apps/random_chain.h"
 #include "core/tile.h"
 #include "kernels/input.h"
 #include "kernels/simd/simd.h"
@@ -23,13 +24,7 @@
 namespace bpp::simd {
 namespace {
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using bpp::apps::splitmix;
 
 // Uniform in [-128, 128) with a fractional part — deliberately not dyadic,
 // so reassociated sums genuinely differ and the ULP bound is exercised.
