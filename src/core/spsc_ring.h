@@ -81,6 +81,19 @@ class SpscRing {
     return try_push(std::move(copy));
   }
 
+  /// Raise `peak` to the occupancy after the last push if that is higher.
+  /// `tail - head_cache_` bounds the occupancy from above (the cached head
+  /// only lags), so the consumer's line is read only when the bound could
+  /// set a new peak; the refreshed occupancy is the exact one as of that
+  /// read, the same value a fresh read after every push would record.
+  void update_peak(std::size_t& peak) {
+    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    if (t - head_cache_ <= peak) return;
+    head_cache_ = head_.load(std::memory_order_acquire);
+    const auto occ = static_cast<std::size_t>(t - head_cache_);
+    if (occ > peak) peak = occ;
+  }
+
   // ---- Consumer side ----
 
   /// Head item, or nullptr when empty. The pointer stays valid until

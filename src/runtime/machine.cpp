@@ -4,11 +4,51 @@
 
 namespace bpp::rt {
 
+Program::Program(int cores)
+    : cores_(std::max(cores, 1)),
+      counts_(std::make_unique<NodeCount[]>(static_cast<size_t>(cores_) + 1)) {}
+
 void Program::record_park(int /*core*/, double /*t0_seconds*/,
                           double /*t1_seconds*/) {}
 
 void Program::on_worker_exception(int /*core*/, const char* /*what*/) {
   quiesce();
+}
+
+void Program::count_queued(int self_core) {
+  if (self_core < 0) {
+    counts_[static_cast<size_t>(cores_)].queued.fetch_add(
+        1, std::memory_order_relaxed);
+    return;
+  }
+  std::atomic<long>& q = counts_[static_cast<size_t>(self_core)].queued;
+  q.store(q.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+void Program::count_retired(int core) {
+  // Release: everything the worker did with this program happens before
+  // a detach() that reads this count.
+  std::atomic<long>& r = counts_[static_cast<size_t>(core)].retired;
+  r.store(r.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+}
+
+bool Program::drained() const {
+  // Retired counts first, then queued. A node is counted queued by the
+  // thread that enqueues it: a worker processing another node of this
+  // program (counted, not yet retired), a worker firing due releases
+  // under the roster lock detach() took after it, or the owner thread.
+  // So a retirement this pass sees makes every enqueue before it visible
+  // to the queued pass, and a node still in flight leaves some counted
+  // enqueue without its retirement: equal sums mean none is in flight,
+  // and a quiesced program off the rosters enqueues no more.
+  long retired = 0, queued = 0;
+  for (int c = 0; c < cores_; ++c)
+    retired += counts_[static_cast<size_t>(c)].retired.load(
+        std::memory_order_acquire);
+  for (int c = 0; c <= cores_; ++c)
+    queued += counts_[static_cast<size_t>(c)].queued.load(
+        std::memory_order_acquire);
+  return queued == retired;
 }
 
 Machine::Machine(int cores) : epoch_(std::chrono::steady_clock::now()) {
@@ -20,13 +60,15 @@ Machine::Machine(int cores) : epoch_(std::chrono::steady_clock::now()) {
 }
 
 Machine::~Machine() {
-  stop_.store(true, std::memory_order_seq_cst);
+  // wake() locks each parking mutex after the store, so a worker either
+  // sees stop_ in its wait predicate or is notified.
+  stop_.store(true, std::memory_order_release);
   for (auto& c : cores_) wake(*c);
   for (std::thread& w : workers_) w.join();
 }
 
 void Machine::wake(Core& c) {
-  c.epoch.fetch_add(1, std::memory_order_seq_cst);
+  c.epoch.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lk(c.mu);
   }
@@ -57,34 +99,35 @@ void Machine::detach(Program* p) {
   // nobody else will bump the epoch again. The sleep keeps the re-wakes
   // from becoming a thundering herd while a faulted kernel of `p` stalls
   // mid-process — other programs still own these cores.
-  while (p->inflight_.load(std::memory_order_acquire) != 0) {
+  while (!p->drained()) {
     for (auto& c : cores_) wake(*c);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 
 void Machine::enqueue(ReadyNode* n, int core, int self_core) {
-  n->program->inflight_.fetch_add(1, std::memory_order_acq_rel);
+  n->program->count_queued(self_core);
   Core& c = *cores_[static_cast<size_t>(core)];
   c.queue.push(n);
   if (core == self_core) return;  // we are awake and re-poll before parking
-  c.epoch.fetch_add(1, std::memory_order_seq_cst);
-  if (c.sleepers.load(std::memory_order_seq_cst) > 0) {
-    {
-      std::lock_guard<std::mutex> lk(c.mu);
-    }
-    c.cv.notify_all();
+  // Eventcount, waker side. seq_cst fence W: orders the queue link store
+  // above before the sleepers load below; pairs with the sleeper's fence
+  // S in worker() (sleepers++ before its final queue re-check). Either
+  // the sleeper's re-check sees the link, or this load sees the sleeper.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (c.sleepers.load(std::memory_order_relaxed) == 0) return;
+  // Release: a sleeper whose epoch read sees this bump also sees the link.
+  c.epoch.fetch_add(1, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lk(c.mu);
   }
+  c.cv.notify_all();
 }
 
 void Machine::worker(int core) {
   Core& sync = *cores_[static_cast<size_t>(core)];
+  constexpr double kNever = std::numeric_limits<double>::infinity();
 
-  // Poll every attached program for paced sources that came due, and
-  // compute the earliest pending release for the park deadline. The
-  // roster lock is uncontended outside attach/detach; taking it once per
-  // loop iteration keeps detach() free to destroy programs the moment
-  // their in-flight count drains.
   // Exception containment: no exception may unwind through the worker
   // loop — that would std::terminate the whole pool and every co-tenant
   // with it. Escapees are routed to the owning program, which fails and
@@ -98,67 +141,74 @@ void Machine::worker(int core) {
       p->on_worker_exception(core, "unknown exception");
     }
   };
+  auto run_node = [&](ReadyNode* n) {
+    Program* p = n->program;
+    if (!p->quiesced())
+      run_guarded(p, [&] { p->process(n->kernel, core); });
+    p->count_retired(core);  // last touch: detach() may free p after it
+  };
 
-  auto fire_due = [&] {
-    const double t = now();
+  // Paced releases: programs arm this core's deadline (arm_release) from
+  // inside process(), so the clock is read only while one is armed and
+  // the roster is locked only when one is due. The lock keeps detach()
+  // free to destroy a program the moment its nodes drain.
+  auto release_due = [&](double t) { return t + 1e-9 >= sync.next_due; };
+  auto fire_due = [&](double t) {
+    sync.next_due = kNever;
     std::lock_guard<std::mutex> lk(sync.roster_mu);
     for (Program* p : sync.roster)
       if (!p->quiesced())
-        run_guarded(p, [&] { p->fire_due_sources(core, t); });
-  };
-  auto earliest_release = [&]() -> double {
-    double next = -1.0;
-    std::lock_guard<std::mutex> lk(sync.roster_mu);
-    for (Program* p : sync.roster) {
-      if (p->quiesced()) continue;
-      const double rel = p->next_release(core);
-      if (rel >= 0.0 && (next < 0.0 || rel < next)) next = rel;
-    }
-    return next;
+        run_guarded(p, [&] {
+          const double rel = p->fire_due_sources(core, t);
+          if (rel >= 0.0 && rel < sync.next_due) sync.next_due = rel;
+        });
   };
 
   while (!stop_.load(std::memory_order_acquire)) {
-    fire_due();
+    if (sync.next_due != kNever) {
+      const double t = now();
+      if (release_due(t)) fire_due(t);
+    }
     if (ReadyNode* n = sync.queue.pop()) {
-      Program* p = n->program;
-      if (!p->quiesced())
-        run_guarded(p, [&] { p->process(n->kernel, core); });
-      p->inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      run_node(n);
       continue;
     }
 
-    // Park: eventcount protocol. Load the epoch, re-check for work, then
-    // sleep until a producer bumps the epoch (or a paced deadline).
-    const unsigned e = sync.epoch.load(std::memory_order_seq_cst);
+    // Park: eventcount protocol, sleeper side. Announce (sleepers++),
+    // seq_cst fence S (pairs with the waker's fence W in enqueue), then
+    // load the epoch and re-check the queue. A waker that pushed before
+    // S is seen by the re-check; one that pushes after sees the
+    // announcement and bumps the epoch, which the wait below observes.
+    sync.sleepers.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const unsigned e = sync.epoch.load(std::memory_order_acquire);
     if (ReadyNode* n = sync.queue.pop()) {
-      Program* p = n->program;
-      if (!p->quiesced())
-        run_guarded(p, [&] { p->process(n->kernel, core); });
-      p->inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      sync.sleepers.fetch_sub(1, std::memory_order_relaxed);
+      run_node(n);
       continue;
     }
-    if (stop_.load(std::memory_order_acquire)) break;
-
-    const double next_release = earliest_release();
     const double t_park = now();
+    if (stop_.load(std::memory_order_acquire) || release_due(t_park)) {
+      sync.sleepers.fetch_sub(1, std::memory_order_relaxed);
+      continue;  // the loop head stops or fires the due release
+    }
     {
       std::unique_lock<std::mutex> lk(sync.mu);
-      sync.sleepers.fetch_add(1, std::memory_order_seq_cst);
       const auto pred = [&] {
-        return sync.epoch.load(std::memory_order_seq_cst) != e ||
+        return sync.epoch.load(std::memory_order_acquire) != e ||
                stop_.load(std::memory_order_acquire);
       };
-      if (next_release >= 0.0) {
+      if (sync.next_due != kNever) {
         const auto deadline =
             epoch_ +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(next_release));
+                std::chrono::duration<double>(sync.next_due));
         sync.cv.wait_until(lk, deadline, pred);
       } else {
         sync.cv.wait(lk, pred);
       }
-      sync.sleepers.fetch_sub(1, std::memory_order_seq_cst);
     }
+    sync.sleepers.fetch_sub(1, std::memory_order_relaxed);
     {
       const double t_wake = now();
       std::lock_guard<std::mutex> lk(sync.roster_mu);

@@ -30,6 +30,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,8 +46,10 @@ class Program;
 /// Intrusive node of a per-core ready queue; one per (program, kernel).
 /// A kernel is in at most one queue at a time (its program's ready bit
 /// gates enqueueing), so the node is safe to reuse as soon as pop()
-/// returns it.
-struct ReadyNode {
+/// returns it. Padded: pushers onto different cores write the `next` of
+/// nodes that would otherwise share a line (and the queue's stub would
+/// share the consumer's pop_end_ line).
+struct alignas(kCacheLineSize) ReadyNode {
   std::atomic<ReadyNode*> next{nullptr};
   Program* program = nullptr;
   KernelId kernel = -1;
@@ -53,8 +57,9 @@ struct ReadyNode {
 
 /// Vyukov intrusive MPSC queue: any worker pushes ready kernels for a
 /// core; only that core's worker pops. pop() may transiently report empty
-/// while a push is mid-flight — the pusher always bumps the core's
-/// eventcount afterwards, so the consumer re-checks after parking.
+/// while a push is mid-flight — the pusher runs the eventcount protocol
+/// after its link store (Machine::enqueue), so a would-be sleeper either
+/// sees the link in its final re-check or is woken.
 class ReadyQueue {
  public:
   ReadyQueue() : push_end_(&stub_), pop_end_(&stub_) {}
@@ -97,10 +102,12 @@ class ReadyQueue {
 
 /// A running pipeline instance, as the machine sees it. Implemented by
 /// the runtime's GraphProgram; the machine only ever calls these from the
-/// worker owning `core`, or (fire_due_sources/next_release) while holding
-/// that core's roster lock.
+/// worker owning `core`, and fire_due_sources while also holding that
+/// core's roster lock.
 class Program {
  public:
+  /// `cores` is the size of the machine's pool the program will attach to.
+  explicit Program(int cores);
   virtual ~Program() = default;
 
   /// Run kernel `k` until it can make no more progress. Must return
@@ -108,12 +115,10 @@ class Program {
   virtual void process(KernelId k, int core) = 0;
 
   /// Mark ready any of this core's paced sources whose release time (in
-  /// machine seconds) has arrived. Cheap when none are armed.
-  virtual void fire_due_sources(int core, double now_seconds) = 0;
-
-  /// Earliest machine time one of this core's paced sources waits for;
-  /// negative when none are armed.
-  [[nodiscard]] virtual double next_release(int core) const = 0;
+  /// machine seconds) has arrived, and return the earliest machine time
+  /// one of the others still waits for (negative when none are armed).
+  /// Called only when a release armed through Machine::arm_release is due.
+  virtual double fire_due_sources(int core, double now_seconds) = 0;
 
   /// The worker for `core` parked from t0 to t1 (machine seconds). Called
   /// once per park for every program attached to the core — with several
@@ -138,10 +143,24 @@ class Program {
 
  private:
   friend class Machine;
+
+  /// Ready nodes of this program queued and retired, counted by the thread
+  /// that does it so no line is written by every worker. Slot c < cores
+  /// belongs to core c's worker (plain load + store); the last slot takes
+  /// enqueues from non-worker threads (an RMW: there may be several).
+  /// queued - retired summed over the slots is the number of this
+  /// program's nodes queued or being processed; detach() waits for zero.
+  struct alignas(kCacheLineSize) NodeCount {
+    std::atomic<long> queued{0};
+    std::atomic<long> retired{0};
+  };
+  void count_queued(int self_core);
+  void count_retired(int core);
+  [[nodiscard]] bool drained() const;
+
   std::atomic<bool> quiesced_{false};
-  /// Ready nodes of this program currently queued or being processed.
-  /// Machine-maintained; detach() waits for it to reach zero.
-  std::atomic<long> inflight_{0};
+  int cores_;
+  std::unique_ptr<NodeCount[]> counts_;
 };
 
 /// The shared worker-core pool. Workers run a ready set, not a scan: a
@@ -179,18 +198,26 @@ class Machine {
   /// must have been quiesced first.
   void detach(Program* p);
 
-  /// Queue (program, kernel) on `core` and wake its worker. `self_core`
-  /// is the calling worker's own core (a push onto one's own queue needs
-  /// no wakeup), or -1 when called from a non-worker thread. The caller
-  /// must have issued a seq_cst fence after the writes this readiness
-  /// reports (the PR 1 store/fence/load protocol).
+  /// Queue (program, kernel) on `core` and wake its worker if it sleeps.
+  /// `self_core` is the calling worker's own core (a push onto one's own
+  /// queue needs no wakeup), or -1 when called from a non-worker thread.
+  /// The caller must have issued a seq_cst fence after the writes this
+  /// readiness reports (the store/fence/load protocol, DESIGN.md §4.1).
   void enqueue(ReadyNode* n, int core, int self_core);
+
+  /// Make the worker of `core` call fire_due_sources once machine time
+  /// `t_seconds` arrives. Worker-private: call only from that worker
+  /// (a paced source arming its next release from inside process()).
+  void arm_release(int core, double t_seconds) {
+    double& due = cores_[static_cast<size_t>(core)]->next_due;
+    if (t_seconds < due) due = t_seconds;
+  }
 
  private:
   /// Per-core parking lot + ready queue + roster of attached programs.
   /// The mutex/condvar exist only to sleep and wake the worker; the
-  /// roster has its own lock (taken by the worker once per loop
-  /// iteration, and by attach/detach).
+  /// roster has its own lock (taken by the worker when a paced release is
+  /// due or it parks, and by attach/detach).
   struct Core {
     ReadyQueue queue;
     alignas(kCacheLineSize) std::atomic<unsigned> epoch{0};
@@ -200,9 +227,14 @@ class Machine {
     /// Programs with kernels on this core (guarded by roster_mu).
     mutable std::mutex roster_mu;
     std::vector<Program*> roster;
+    /// Earliest machine time a paced release on this core is due; +inf
+    /// when none is armed. Worker-private (arm_release, fire_due).
+    alignas(kCacheLineSize) double next_due =
+        std::numeric_limits<double>::infinity();
   };
 
   void worker(int core);
+  /// Unconditional wakeup (stop, detach): bump the epoch and notify.
   void wake(Core& c);
 
   std::chrono::steady_clock::time_point epoch_;

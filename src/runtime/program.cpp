@@ -26,11 +26,16 @@ namespace {
 //    kernel and one consumer kernel, each kernel owned by one core.
 //  * A kernel is enqueued on its core's ready queue at most once however
 //    many channels feed it, guarded by a per-kernel ready bit.
-//  * All flag protocols are the PR 1 store/fence/load pattern: the
-//    announcing side writes its state (ring slot + index, or blocked
-//    bit), issues a seq_cst fence, then reads the other side's state; the
-//    reacting side does the mirror image. The two fences totally order
-//    the exchanges, so at least one side always observes the other.
+//  * All flag protocols are the store/fence/load pattern: the announcing
+//    side writes its state (ring slot + index, or blocked bit), issues a
+//    seq_cst fence, then reads the other side's state; the reacting side
+//    does the mirror image. The two fences are totally ordered, so at
+//    least one side always observes the other. The flags themselves are
+//    relaxed: the fences do the ordering (DESIGN.md §4.1 lists each one).
+//  * The steady-state firing writes only lines its worker owns (per-core
+//    counters and scratch, the producer half of its output rings), plus
+//    the ring slot/index and the consumer's ready bit and queue when an
+//    edge crosses cores.
 //
 // The worker threads themselves, the ready queues, and the parking lots
 // live in rt::Machine; this file only decides *what* each kernel does
@@ -42,9 +47,10 @@ struct RtChannel {
   SpscRing<Item> ring;
   KernelId producer_kernel = -1;
   KernelId consumer_kernel = -1;
-  /// Peak occupancy observed at push time. Producer-owned plain int (only
-  /// the producing worker writes it); read after the program finishes.
-  int high_water = 0;
+  /// Peak occupancy observed at push time (SpscRing::update_peak).
+  /// Producer-owned (only the producing worker writes it); read after the
+  /// program finishes.
+  std::size_t high_water = 0;
   /// Producer saw the ring full and parked; the consumer's next pop must
   /// re-arm (mark ready) the producer kernel. Padded: written by both
   /// sides, and must not share a line with the ring indices.
@@ -55,13 +61,18 @@ struct alignas(kCacheLineSize) ReadyFlag {
   std::atomic<bool> ready{false};
 };
 
+/// A kernel's ports on lines of their own: its worker writes `pending` on
+/// every firing, and neighbouring kernels may run on other cores.
+struct alignas(kCacheLineSize) OwnedPorts : KernelPorts {};
+
 }  // namespace
 
 struct GraphProgram::Impl final : rt::Program {
   /// Per-core scratch, reused across process() calls so the hot loop
   /// stops heap-allocating once vector capacities warm up. Only the
-  /// worker owning the core touches its entry.
-  struct CoreState {
+  /// worker owning the core writes its entry; each entry has its own
+  /// cache lines.
+  struct alignas(kCacheLineSize) CoreState {
     ExecContext ctx;
     FireDecision decision;
     std::vector<Item> popped;
@@ -75,13 +86,20 @@ struct GraphProgram::Impl final : rt::Program {
     /// Core-local per-kernel firing counts, merged at finish() (keeps the
     /// hot loop off shared cache lines).
     std::vector<long> fired;
+    /// Firings on this core: written by its worker (plain load + store),
+    /// summed by firings() from any thread.
+    std::atomic<long> firings{0};
     /// Core-local count of perturbed firings, merged at finish().
     long faults = 0;
   };
 
   Impl(Graph& g, const Mapping& mapping, const RuntimeOptions& opt,
        rt::Machine& machine)
-      : g_(g), opt_(opt), mapping_(mapping), machine_(machine) {
+      : rt::Program(machine.cores()),
+        g_(g),
+        opt_(opt),
+        mapping_(mapping),
+        machine_(machine) {
     const int n = g.kernel_count();
     const int mcores = machine.cores();
     for (int k = 0; k < n; ++k) {
@@ -114,11 +132,11 @@ struct GraphProgram::Impl final : rt::Program {
       nodes_[static_cast<size_t>(i)].program = this;
     }
     core_kernels_.resize(static_cast<size_t>(mcores));
-    state_.resize(static_cast<size_t>(mcores));
+    state_ = std::make_unique<CoreState[]>(static_cast<size_t>(mcores));
 
     ports_.reserve(static_cast<size_t>(n));
     for (KernelId k = 0; k < n; ++k) {
-      ports_.push_back(wire_kernel(g, k));
+      ports_.push_back(OwnedPorts{wire_kernel(g, k)});
       if (ports_.back().is_sink) ++total_sinks_;
       core_kernels_[static_cast<size_t>(mapping.core_of[static_cast<size_t>(k)])]
           .push_back(k);
@@ -197,11 +215,12 @@ struct GraphProgram::Impl final : rt::Program {
     // already true and skips mark_ready's enqueue. Interleaving bit-set
     // with enqueue would let that mark_ready enqueue a node the loop below
     // then enqueues again — a double-push that corrupts the intrusive
-    // ready queue (nodes may only be queued once).
+    // ready queue (nodes may only be queued once). The queue push is a
+    // release and the pop an acquire, so a worker that pops any of these
+    // nodes sees every bit set.
     for (KernelId k = 0; k < g_.kernel_count(); ++k)
       ready_[static_cast<size_t>(k)].ready.store(true,
                                                  std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     for (KernelId k = 0; k < g_.kernel_count(); ++k)
       machine_.enqueue(&nodes_[static_cast<size_t>(k)],
                        mapping_.core_of[static_cast<size_t>(k)],
@@ -209,7 +228,12 @@ struct GraphProgram::Impl final : rt::Program {
   }
 
   void process(KernelId k, int core) override {
-    ready_[static_cast<size_t>(k)].ready.store(false, std::memory_order_seq_cst);
+    // Clear the ready bit before examining anything, then seq_cst fence
+    // C: pairs with the producer's fence P in push_all (ring push, then
+    // ready-bit check), the consumer's fence Q before re-arming us after a
+    // pop, and request_drain's fence D. Either this run sees their write,
+    // or they see the clear and re-queue us.
+    ready_[static_cast<size_t>(k)].ready.store(false, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
 
     CoreState& w = state_[static_cast<size_t>(core)];
@@ -284,6 +308,9 @@ struct GraphProgram::Impl final : rt::Program {
               obs::EventKind::kChannelPop, elapsed(),
               in_of[static_cast<size_t>(p)], core, ch.ring.size_approx()));
       }
+      // seq_cst fence Q: orders the head stores of the pops above before
+      // the producer_blocked loads below; pairs with the producer's fence
+      // B in has_space_or_arm (blocked store, then fullness re-check).
       std::atomic_thread_fence(std::memory_order_seq_cst);
       for (int p : d.pop_inputs)
         rearm_blocked_producer(chan(in_of[static_cast<size_t>(p)]), core);
@@ -300,7 +327,8 @@ struct GraphProgram::Impl final : rt::Program {
         fault::spin_for((elapsed() - t_run) * (pert.time_scale - 1.0));
       if (pert.delivery_delay_seconds > 0.0)
         fault::spin_for(pert.delivery_delay_seconds);
-      firings_.fetch_add(1, std::memory_order_relaxed);
+      w.firings.store(w.firings.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
       ++w.fired[static_cast<size_t>(k)];
       if (rec) {
         const double t1 = elapsed();  // run is the invoke, read the pops
@@ -332,27 +360,21 @@ struct GraphProgram::Impl final : rt::Program {
     }
   }
 
-  void fire_due_sources(int core, double now_machine) override {
+  double fire_due_sources(int core, double now_machine) override {
     CoreState& w = state_[static_cast<size_t>(core)];
-    if (w.timed_armed == 0) return;
+    if (w.timed_armed == 0) return -1.0;
     const double now = now_machine - t0_off_;
+    double next = -1.0;
     for (KernelId k : core_kernels_[static_cast<size_t>(core)]) {
       double& rel = w.timed[static_cast<size_t>(k)];
-      if (rel >= 0.0 && now + 1e-9 >= rel) {
+      if (rel < 0.0) continue;
+      if (now + 1e-9 >= rel) {
         rel = -1.0;
         --w.timed_armed;
         mark_ready(k, core);  // our own queue; runs on the next pop
+      } else if (next < 0.0 || rel < next) {
+        next = rel;
       }
-    }
-  }
-
-  [[nodiscard]] double next_release(int core) const override {
-    const CoreState& w = state_[static_cast<size_t>(core)];
-    if (w.timed_armed == 0) return -1.0;
-    double next = -1.0;
-    for (KernelId k : core_kernels_[static_cast<size_t>(core)]) {
-      const double rel = w.timed[static_cast<size_t>(k)];
-      if (rel >= 0.0 && (next < 0.0 || rel < next)) next = rel;
     }
     return next < 0.0 ? -1.0 : next + t0_off_;
   }
@@ -368,6 +390,16 @@ struct GraphProgram::Impl final : rt::Program {
 
   [[nodiscard]] double elapsed() const { return machine_.now() - t0_off_; }
 
+  /// Sum of the per-core firing counters. Each only grows, so successive
+  /// calls from one thread never decrease.
+  [[nodiscard]] long firings() const {
+    long total = 0;
+    for (int c : cores_used_)
+      total += state_[static_cast<size_t>(c)].firings.load(
+          std::memory_order_relaxed);
+    return total;
+  }
+
   RtChannel& chan(ChannelId c) { return *channels_[static_cast<size_t>(c)]; }
 
   /// Mark kernel `k` ready and wake its core. Callers must have issued a
@@ -376,8 +408,14 @@ struct GraphProgram::Impl final : rt::Program {
   /// needs no eventcount bump — the worker is awake and re-polls its queue
   /// before it can park.
   void mark_ready(KernelId k, int self_core) {
-    if (ready_[static_cast<size_t>(k)].ready.exchange(
-            true, std::memory_order_seq_cst))
+    // A set bit read after the caller's fence is either not yet cleared
+    // by the consumer (whose clear and fence C then order before its
+    // examination of our write) or set again by a later marker that
+    // queued the kernel. Either way the kernel runs after our write, so
+    // the RMW is needed only when the bit reads clear.
+    std::atomic<bool>& ready = ready_[static_cast<size_t>(k)].ready;
+    if (ready.load(std::memory_order_relaxed) ||
+        ready.exchange(true, std::memory_order_acq_rel))
       return;  // already queued (or about to re-run)
     machine_.enqueue(&nodes_[static_cast<size_t>(k)],
                      mapping_.core_of[static_cast<size_t>(k)], self_core);
@@ -390,7 +428,9 @@ struct GraphProgram::Impl final : rt::Program {
     for (ChannelId c : outs) {
       RtChannel& ch = chan(c);
       if (!ch.ring.full()) continue;
-      ch.producer_blocked.store(true, std::memory_order_seq_cst);
+      // seq_cst fence B: orders the blocked store before the fullness
+      // re-check (a head load); pairs with the consumer's fence Q.
+      ch.producer_blocked.store(true, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!ch.ring.full()) continue;  // freed meanwhile; stale flag only
                                       // costs one spurious re-arm
@@ -411,12 +451,14 @@ struct GraphProgram::Impl final : rt::Program {
                                  : ch.ring.try_push(item);
       if (!ok)
         throw ExecutionError("runtime: push on full channel (scheduler bug)");
-      const int occ = static_cast<int>(ch.ring.size_approx());
-      if (occ > ch.high_water) ch.high_water = occ;
+      ch.ring.update_peak(ch.high_water);
       if (obs::kCompiledIn && w.ring)
-        w.ring->emit(obs::channel_sample(obs::EventKind::kChannelPush,
-                                         elapsed(), outs[i], core, occ));
+        w.ring->emit(obs::channel_sample(
+            obs::EventKind::kChannelPush, elapsed(), outs[i], core,
+            static_cast<int>(ch.ring.size_approx())));
     }
+    // seq_cst fence P: orders the tail stores above before the consumers'
+    // ready-bit loads in mark_ready; pairs with the consumer's fence C.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (ChannelId c : outs) mark_ready(chan(c).consumer_kernel, core);
   }
@@ -449,8 +491,8 @@ struct GraphProgram::Impl final : rt::Program {
   /// After popping (and fencing), re-arm producers that parked on
   /// back-pressure of channel `ch`.
   void rearm_blocked_producer(RtChannel& ch, int self_core) {
-    if (ch.producer_blocked.load(std::memory_order_seq_cst) &&
-        ch.producer_blocked.exchange(false, std::memory_order_seq_cst))
+    if (ch.producer_blocked.load(std::memory_order_relaxed) &&
+        ch.producer_blocked.exchange(false, std::memory_order_acq_rel))
       mark_ready(ch.producer_kernel, self_core);
   }
 
@@ -503,6 +545,7 @@ struct GraphProgram::Impl final : rt::Program {
           if (elapsed() + 1e-9 < release) {
             if (w.timed[static_cast<size_t>(k)] < 0.0) ++w.timed_armed;
             w.timed[static_cast<size_t>(k)] = release;  // due later
+            machine_.arm_release(core, release + t0_off_);
             return;
           }
         }
@@ -590,7 +633,9 @@ struct GraphProgram::Impl final : rt::Program {
     if (drain_.exchange(true, std::memory_order_acq_rel)) return;
     if (!started_) return;
     // Wake every source so one parked until a future release re-checks
-    // the drain flag now instead of at that release.
+    // the drain flag now instead of at that release. seq_cst fence D:
+    // orders the drain_ store before the ready-bit loads in mark_ready;
+    // pairs with the source's fence C.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (KernelId k = 0; k < g_.kernel_count(); ++k)
       if (g_.kernel(k).is_source()) mark_ready(k, /*self_core=*/-1);
@@ -611,7 +656,7 @@ struct GraphProgram::Impl final : rt::Program {
       res.error = error_;
     }
     res.wall_seconds = wall;
-    res.total_firings = firings_.load();
+    res.total_firings = firings();
     long faults_total = 0;
     for (int c : cores_used_) {
       const CoreState& w = state_[static_cast<size_t>(c)];
@@ -626,7 +671,8 @@ struct GraphProgram::Impl final : rt::Program {
     res.kernel_firings = kernel_fired_;
     res.channel_high_water.assign(channels_.size(), -1);
     for (size_t c = 0; c < channels_.size(); ++c)
-      if (channels_[c]) res.channel_high_water[c] = channels_[c]->high_water;
+      if (channels_[c])
+        res.channel_high_water[c] = static_cast<long>(channels_[c]->high_water);
 
     if (obs::kCompiledIn && rec_) {
       rec_->finish_session(res.wall_seconds);
@@ -666,9 +712,9 @@ struct GraphProgram::Impl final : rt::Program {
   rt::Machine& machine_;
   std::function<void()> on_complete_;
   std::vector<std::unique_ptr<RtChannel>> channels_;  // null for dead channels
-  std::vector<KernelPorts> ports_;
+  std::vector<OwnedPorts> ports_;
   std::vector<std::vector<KernelId>> core_kernels_;
-  std::vector<CoreState> state_;  ///< indexed by machine core
+  std::unique_ptr<CoreState[]> state_;  ///< indexed by machine core
   std::vector<int> cores_used_;   ///< machine cores hosting our kernels
   std::vector<int> eos_seen_;
   std::vector<std::optional<SourceEmission>> src_next_;
@@ -700,12 +746,13 @@ struct GraphProgram::Impl final : rt::Program {
   RuntimeResult result_;
   std::vector<long> kernel_fired_;  // merged from CoreStates in finish()
 
-  // Hot counters, each on its own line so workers do not false-share.
+  // Flags and rare counters (lifecycle, once per sink, late releases),
+  // each on its own line so one worker's write does not invalidate a line
+  // another reads on its hot path.
   alignas(kCacheLineSize) std::atomic<bool> done_{false};
   alignas(kCacheLineSize) std::atomic<bool> failed_{false};
   alignas(kCacheLineSize) std::atomic<bool> drain_{false};
   alignas(kCacheLineSize) std::atomic<int> sources_stopped_{0};
-  alignas(kCacheLineSize) std::atomic<long> firings_{0};
   alignas(kCacheLineSize) std::atomic<int> finished_sinks_{0};
   alignas(kCacheLineSize) std::atomic<long> delayed_{0};
   alignas(kCacheLineSize) std::atomic<double> max_lag_{0.0};
@@ -747,9 +794,7 @@ bool GraphProgram::sources_drained() const {
          impl_->total_sources_;
 }
 
-long GraphProgram::firings() const {
-  return impl_->firings_.load(std::memory_order_relaxed);
-}
+long GraphProgram::firings() const { return impl_->firings(); }
 
 double GraphProgram::elapsed_seconds() const { return impl_->elapsed(); }
 
