@@ -48,7 +48,7 @@ int main() {
     }
 
     const obs::FrameReport fr = obs::analyze_frames(rec.trace());
-    obs::DeadlineMonitor mon({rate, 0.0});
+    obs::DeadlineMonitor mon(declared_schedule(app, 1.0));
     mon.observe(fr);
     const obs::CriticalPathReport cp =
         obs::analyze_critical_path(rec.trace(), fr, app.graph);

@@ -72,7 +72,7 @@ int main() {
       continue;
     }
     const obs::FrameReport fr = obs::analyze_frames(rec.trace());
-    obs::DeadlineMonitor mon({rate, 0.0});
+    obs::DeadlineMonitor mon(declared_schedule(app, 1.0));
     mon.observe(fr);
     const obs::CriticalPathReport cp =
         obs::analyze_critical_path(rec.trace(), fr, app.graph);

@@ -40,11 +40,14 @@ CompiledApp compile(Graph g, CompileOptions options) {
   return app;
 }
 
-double declared_rate(const CompiledApp& app, double slowdown) {
+obs::DeadlineOptions declared_schedule(const CompiledApp& app,
+                                       double slowdown, double slack_seconds) {
+  if (slowdown <= 0.0) slowdown = 1.0;
   double rate = 0.0;
   for (const KernelAnalysis& ka : app.analysis.kernel)
     rate = std::max(rate, ka.rate_hz);
-  return slowdown > 0.0 ? rate / slowdown : rate;
+  return {rate / slowdown, slack_seconds,
+          obs::lateness_tolerance(app.graph, slowdown)};
 }
 
 }  // namespace bpp

@@ -18,6 +18,7 @@
 #include "compiler/multiplex.h"
 #include "compiler/parallelize.h"
 #include "core/graph.h"
+#include "obs/deadline.h"
 
 namespace bpp {
 
@@ -48,9 +49,11 @@ struct CompiledApp {
 
 [[nodiscard]] CompiledApp compile(Graph g, CompileOptions options = {});
 
-/// The fastest rate the data-flow analysis assigned — the input frame rate
-/// for every bundled pipeline — stretched by `slowdown` when the app runs
-/// on a slower (paced) schedule. A `slowdown` <= 0 leaves it unstretched.
-[[nodiscard]] double declared_rate(const CompiledApp& app, double slowdown);
+/// The deadline schedule: the fastest rate the data-flow analysis assigned
+/// — the input frame rate for every bundled pipeline — and the lateness
+/// tolerance, both stretched by `slowdown` (<= 0: not stretched) when the
+/// app runs on a slower (paced) schedule, with `slack_seconds` of slack.
+[[nodiscard]] obs::DeadlineOptions declared_schedule(
+    const CompiledApp& app, double slowdown, double slack_seconds = 0.0);
 
 }  // namespace bpp

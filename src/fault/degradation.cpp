@@ -14,9 +14,11 @@ DegradationController::DegradationController(DegradationPolicy policy,
       monitor_(obs::DeadlineOptions{policy.rate_hz, policy.slack_seconds},
                metrics) {}
 
-void DegradationController::attach_sinks(int sinks) {
+void DegradationController::attach_sinks(int sinks, double tolerance_seconds) {
   std::lock_guard<std::mutex> lk(mu_);
   sinks_needed_ = sinks > 0 ? sinks : 1;
+  monitor_ = obs::DeadlineMonitor(
+      {policy_.rate_hz, policy_.slack_seconds, tolerance_seconds}, metrics_);
 }
 
 DegradationController::Completion DegradationController::on_frame_end(

@@ -52,8 +52,8 @@ class DegradationController {
                                  obs::MetricsRegistry* metrics = nullptr);
 
   /// A frame is complete once `sinks` sinks consumed its end-of-frame
-  /// token (default 1). Call before the run starts.
-  void attach_sinks(int sinks);
+  /// token, and misses past `tolerance_seconds`. Call before the run starts.
+  void attach_sinks(int sinks, double tolerance_seconds);
 
   struct Completion {
     bool completed = false;      ///< all sinks have now seen this frame

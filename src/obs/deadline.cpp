@@ -1,14 +1,21 @@
 #include "obs/deadline.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace bpp::obs {
 
-namespace {
-/// Simulated schedules hit their deadlines exactly; keep float fuzz from
-/// flipping an on-time frame to missed.
-constexpr double kEps = 1e-9;
-}  // namespace
+double lateness_tolerance(const Graph& g, double slowdown) {
+  double period = std::numeric_limits<double>::infinity();
+  for (KernelId k = 0; k < g.kernel_count(); ++k) {
+    const Kernel& kn = g.kernel(k);
+    if (!kn.is_source()) continue;
+    const auto spec = kn.source_spec(0);
+    if (spec && spec->rate_hz > 0.0)
+      period = std::min(period, 1.0 / (spec->rate_hz * spec->frame.area()));
+  }
+  return period * slowdown;
+}
 
 DeadlineMonitor::DeadlineMonitor(DeadlineOptions opt, MetricsRegistry* metrics,
                                  MissCallback on_miss)
@@ -33,7 +40,7 @@ const FrameVerdict& DeadlineMonitor::observe_frame(std::int64_t frame,
   v.deadline_seconds = scheduled + opt_.slack_seconds;
   v.lateness_seconds = end_seconds - scheduled;
   v.missed = opt_.rate_hz > 0.0 &&
-             end_seconds > v.deadline_seconds + kEps;
+             is_late(end_seconds - v.deadline_seconds, opt_.tolerance_seconds);
   if (v.missed) ++misses_;
   max_lateness_ = std::max(max_lateness_, v.lateness_seconds);
 

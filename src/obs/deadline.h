@@ -11,9 +11,11 @@
 //
 //   deadline(N) = end(first) + (N - first) / R + slack
 //
-// A feasible graph holds the schedule exactly; an over-rated one drifts
-// later every frame and accumulates misses. `slack` absorbs host-scheduler
-// jitter on wall-clock traces (simulated traces can run with slack 0).
+// A frame misses past its deadline plus the lateness tolerance, the one
+// input pixel period its last pixel may lag by phase alone. A feasible
+// graph holds the schedule; an over-rated one drifts later every frame and
+// accumulates misses. `slack` absorbs host-scheduler jitter on wall-clock
+// traces (simulated traces can run with slack 0).
 //
 // Misses feed counters/gauges in a MetricsRegistry and optionally invoke a
 // user callback — the hook a graceful-degradation policy would attach to.
@@ -25,10 +27,21 @@
 #include <functional>
 #include <vector>
 
+#include "core/graph.h"
 #include "obs/frames.h"
 #include "obs/metrics.h"
 
 namespace bpp::obs {
+
+/// The one lateness rule, for releases and frames in both engines: late
+/// means more than the tolerance behind schedule (1e-12 absorbs fuzz).
+[[nodiscard]] inline bool is_late(double lag, double tolerance) {
+  return lag > tolerance + 1e-12;
+}
+
+/// The tolerance: one input pixel period of the fastest rate-driven source
+/// of `g`, times a paced run's `slowdown`; infinite with no such source.
+[[nodiscard]] double lateness_tolerance(const Graph& g, double slowdown = 1.0);
 
 /// Verdict for one frame.
 struct FrameVerdict {
@@ -45,6 +58,7 @@ struct DeadlineOptions {
   double rate_hz = 0.0;
   /// Grace added to every deadline (absorbs wall-clock scheduler jitter).
   double slack_seconds = 0.0;
+  double tolerance_seconds = 0.0;  ///< see lateness_tolerance
 };
 
 class DeadlineMonitor {

@@ -95,12 +95,6 @@ struct Prediction {
   /// True when every (non-source) core's demand fits one PE, i.e. the
   /// predicted steady period equals the input period.
   bool meets_realtime = false;
-
-  /// Deadline verdict: does the predicted completion cadence hold
-  /// `period` (seconds per frame)?
-  [[nodiscard]] bool meets_deadline(double period) const {
-    return steady_period_seconds <= period + 1e-12;
-  }
 };
 
 struct PredictOptions {

@@ -13,6 +13,7 @@
 #include "core/spsc_ring.h"
 #include "fault/degradation.h"
 #include "fault/injector.h"
+#include "obs/deadline.h"
 #include "obs/recorder.h"
 #include "runtime/machine.h"
 
@@ -169,7 +170,7 @@ struct GraphProgram::Impl final : rt::Program {
     // cross-source frame barrier this runtime does not model).
     ctrl_ = opt.degradation;
     if (ctrl_ != nullptr) {
-      ctrl_->attach_sinks(total_sinks_);
+      ctrl_->attach_sinks(total_sinks_, tolerance_);
       for (KernelId k = 0; k < n; ++k) {
         Kernel& kn = g.kernel(k);
         if (!kn.is_source()) continue;
@@ -579,7 +580,7 @@ struct GraphProgram::Impl final : rt::Program {
           if (opt_.pace_inputs) {
             const double release = next->release_seconds * opt_.pace_slowdown;
             const double lag = elapsed() - release;
-            const bool late = lag > opt_.lag_tolerance_seconds;
+            const bool late = obs::is_late(lag, tolerance_);
             if (late) {
               delayed_.fetch_add(1, std::memory_order_relaxed);
               update_max_lag(lag);
@@ -685,11 +686,8 @@ struct GraphProgram::Impl final : rt::Program {
       if (faults_) m.counter("runtime.faults_injected").add(res.faults_injected);
       if (ctrl_ != nullptr)
         m.counter("runtime.frames_shed").add(res.frames_shed);
-      if (opt_.pace_inputs) {
-        m.gauge("runtime.lag_tolerance_seconds")
-            .set(opt_.lag_tolerance_seconds);
+      if (opt_.pace_inputs)
         m.gauge("runtime.pace_slowdown").set(opt_.pace_slowdown);
-      }
       for (size_t c = 0; c < channels_.size(); ++c)
         if (channels_[c])
           m.high_water("runtime.channel." + std::to_string(c) + ".occupancy")
@@ -708,6 +706,8 @@ struct GraphProgram::Impl final : rt::Program {
 
   Graph& g_;
   RuntimeOptions opt_;
+  const double tolerance_ = obs::lateness_tolerance(
+      g_, opt_.pace_inputs ? opt_.pace_slowdown : 1.0);
   Mapping mapping_;
   rt::Machine& machine_;
   std::function<void()> on_complete_;

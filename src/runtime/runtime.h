@@ -46,11 +46,6 @@ struct RuntimeOptions {
   bool pace_inputs = false;
   /// With pace_inputs: scale factor on the schedule (2.0 = half speed).
   double pace_slowdown = 1.0;
-  /// With pace_inputs: a release this much later than its deadline counts
-  /// as delayed (and feeds max_release_lag_seconds). The default absorbs
-  /// ordinary host-scheduler wakeup quanta; tests pin it to 0 to count
-  /// every late release.
-  double lag_tolerance_seconds = 2e-3;
   /// Observability sink (see obs/recorder.h). Null = tracing off; the
   /// hot-path cost of "off" is one branch per instrumented site. When set,
   /// workers record firing/write/park spans, channel push/pop occupancy,
@@ -90,7 +85,7 @@ struct RuntimeResult {
   /// Whole frames dropped at source frame boundaries (0 without a
   /// degradation controller).
   long frames_shed = 0;
-  /// With pace_inputs: source releases that ran late, and the worst lag.
+  /// With pace_inputs: releases late by obs::is_late, and their worst lag.
   long delayed_releases = 0;
   double max_release_lag_seconds = 0.0;
   /// Firings per kernel, indexed by KernelId (sums to total_firings).

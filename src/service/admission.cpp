@@ -35,9 +35,7 @@ PredictionCrossCheck cross_check_prediction(
     double tolerance) {
   const predict::Prediction pred = predict::predict(app);
   PredictionCrossCheck x;
-  x.exact = pred.exact;
   x.predicted_period_seconds = pred.steady_period_seconds;
-  x.meets_realtime = pred.meets_realtime;
   for (const predict::CorePrediction& c : pred.cores) {
     const double ledger = static_cast<size_t>(c.core) < vcore_util.size()
                               ? vcore_util[static_cast<size_t>(c.core)]

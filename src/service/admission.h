@@ -82,10 +82,7 @@ struct Placement {
 /// daemon records it in the tenant's reason rather than trusting either
 /// side blindly.
 struct PredictionCrossCheck {
-  bool exact = false;  ///< predictor ran in its exact composition tier
   double predicted_period_seconds = 0.0;  ///< standalone steady period
-  bool meets_realtime = false;  ///< predictor verdict on the tenant's own
-                                ///< compiled mapping (1 vcore = 1 PE)
   double max_abs_deviation = 0.0;  ///< worst per-vcore |predictor-ledger|, PE
   bool consistent = false;         ///< deviation within tolerance
 };

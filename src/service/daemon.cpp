@@ -210,7 +210,8 @@ struct Daemon::Impl {
       return;
     }
 
-    t.rate_hz = declared_rate(app, opt.pace ? spec.pace_slowdown : 1.0);
+    t.rate_hz =
+        declared_schedule(app, opt.pace ? spec.pace_slowdown : 1.0).rate_hz;
     fault::DegradationPolicy pol;
     pol.shed = t.placement.verdict == Verdict::kDegraded;
     pol.rate_hz = t.rate_hz;

@@ -12,6 +12,7 @@
 #include "core/error.h"
 #include "core/firing.h"
 #include "fault/injector.h"
+#include "obs/deadline.h"
 #include "obs/recorder.h"
 
 namespace bpp {
@@ -46,10 +47,7 @@ CoreStats SimResult::totals() const {
 namespace {
 
 /// Instants closer than this are one instant.
-constexpr double kEps = 1e-15;
-/// Release lag a source may accrue before the release is late, in input
-/// pixel periods.
-constexpr double kLagTolerancePeriods = 1.0;
+constexpr double kInstant = 1e-15;
 /// Abort after this many simulated firings (runaway guard).
 constexpr long kMaxFirings = 500'000'000;
 
@@ -140,12 +138,9 @@ class Sim {
         ss.id = k;
         sources_.push_back(ss);
         auto spec = kn.source_spec(0);
-        if (spec && spec->rate_hz > 0.0) {
-          pixel_period_ = std::min(
-              pixel_period_, 1.0 / (spec->rate_hz * spec->frame.area()));
+        if (spec && spec->rate_hz > 0.0)
           res_.input_span_seconds = std::max(
               res_.input_span_seconds, spec->frames / spec->rate_hz);
-        }
       } else {
         const int core = core_of_[static_cast<size_t>(k)];
         cores_[static_cast<size_t>(core)].kernels.push_back(k);
@@ -195,7 +190,7 @@ class Sim {
 
     while (!wake_.empty()) {
       now = wake_.top().t;
-      while (!wake_.empty() && wake_.top().t <= now + kEps) {
+      while (!wake_.empty() && wake_.top().t <= now + kInstant) {
         const Wake w = wake_.top();
         wake_.pop();
         on_wake(w, now);
@@ -213,7 +208,7 @@ class Sim {
         // is retried and its lag recorded (the camera cannot wait).
         for (size_t i = 0; i < sources_.size(); ++i) {
           SourceState& s = sources_[i];
-          while (s.have_next && s.next.release_seconds <= now + kEps) {
+          while (s.have_next && s.next.release_seconds <= now + kInstant) {
             if (!push_source(s, now)) break;
             acted = true;
           }
@@ -232,7 +227,7 @@ class Sim {
             CoreState& core = cores_[static_cast<size_t>(c)];
             core.busy_until = now + dur;
             wake_.push(Wake{core.busy_until, Wake::Kind::kCore, c});
-            if (core.busy_until > now + kEps)
+            if (core.busy_until > now + kInstant)
               clear_bit(idle_cores_, static_cast<size_t>(c));
             acted = true;
           }
@@ -291,7 +286,7 @@ class Sim {
     switch (w.kind) {
       case Wake::Kind::kCore: {
         CoreState& core = cores_[static_cast<size_t>(w.id)];
-        if (core.busy_until > now + kEps) break;  // a later action is running
+        if (core.busy_until > now + kInstant) break;  // a later action runs
         set_bit(idle_cores_, static_cast<size_t>(w.id));
         ready_consumers(core.pushed);
         core.pushed.clear();
@@ -316,7 +311,7 @@ class Sim {
   /// pops, or (delivery-delayed items) a wake of their own.
   void publish(CoreState& core, KernelId k, double now, double avail,
                bool delayed) {
-    if (avail <= now + kEps) {
+    if (avail <= now + kInstant) {
       ready_consumers(core.pushed);
       core.pushed.clear();
     } else if (delayed) {
@@ -354,21 +349,14 @@ class Sim {
     if (!s.have_next) s.exhausted = true;
   }
 
-  /// The late-release rule: a camera cannot wait, so a release more than
-  /// the tolerance behind its schedule misses real time.
-  [[nodiscard]] bool late(double lag) const {
-    return lag > kLagTolerancePeriods * pixel_period_ + 1e-12;
-  }
-
   bool push_source(SourceState& s, double now) {
     const KernelPorts& ports = kstate_[static_cast<size_t>(s.id)].ports;
     const auto& outs = ports.out_channels[static_cast<size_t>(s.next.port)];
     if (!all_have_space(outs)) return false;
     const double lag = now - s.next.release_seconds;
-    if (lag > 1e-12) {
-      ++res_.delayed_releases;
-      res_.max_input_lag_seconds = std::max(res_.max_input_lag_seconds, lag);
-    }
+    const bool late = obs::is_late(lag, tolerance_);
+    if (late) ++res_.delayed_releases;
+    res_.max_input_lag_seconds = std::max(res_.max_input_lag_seconds, lag);
     // Sources only feel delivery faults (a camera cannot run slow, but its
     // link can): matching items land in the channel late.
     double avail = now;
@@ -381,13 +369,13 @@ class Sim {
     ++s.released;
     const bool opens_frame = s.frame.step(s.next.item);
     push_all(outs, s.next.item, avail, item_words(s.next.item), now);
-    if (avail <= now + kEps)
+    if (avail <= now + kInstant)
       ready_consumers(outs);
     else
       wake_.push(Wake{avail, Wake::Kind::kDelivery, s.id});
     // Input releases happen off-core (the "sources" track).
     if (obs::kCompiledIn && ring_) {
-      ring_->emit(obs::source_release(now, s.id, -1, lag, late(lag)));
+      ring_->emit(obs::source_release(now, s.id, -1, lag, late));
       if (opens_frame)
         ring_->emit(obs::frame_instant(obs::EventKind::kFrameStart, now,
                                        s.id, -1, s.frame.index));
@@ -482,7 +470,7 @@ class Sim {
             const ChannelId ch = ports.in_channel[static_cast<size_t>(port)];
             if (ch < 0) return nullptr;
             const auto& q = channels_[static_cast<size_t>(ch)].q;
-            if (q.empty() || q.front().avail > now + kEps) return nullptr;
+            if (q.empty() || q.front().avail > now + kInstant) return nullptr;
             return &q.front().item;
           },
           d);
@@ -605,7 +593,7 @@ class Sim {
       os << leftover << " items left in flight";
       res_.diagnostics = os.str();
     }
-    res_.realtime_met = res_.completed && !late(res_.max_input_lag_seconds);
+    res_.realtime_met = res_.completed && res_.delayed_releases == 0;
 
     if (obs::kCompiledIn && rec_) {
       rec_->finish_session(res_.sim_seconds);
@@ -632,7 +620,7 @@ class Sim {
   std::vector<SourceState> sources_;
   std::vector<CoreState> cores_;
   std::vector<int> core_of_;
-  double pixel_period_ = 1.0;
+  const double tolerance_ = obs::lateness_tolerance(g_);
   double last_action_ = 0.0;
 
   /// Pending wake instants, earliest first.

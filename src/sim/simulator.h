@@ -10,8 +10,8 @@
 //
 // Application inputs release items on their real-time schedule; if the
 // downstream graph cannot accept an item when it is released the lag is
-// recorded — a camera cannot wait, so any lag beyond one input pixel
-// period is a real-time violation.
+// recorded — a camera cannot wait, so a release late by obs::is_late (more
+// than one input pixel period behind) is a real-time violation.
 
 #include <string>
 #include <vector>
@@ -83,7 +83,7 @@ struct SimResult {
   double sim_seconds = 0.0;       ///< time of the last action
   double input_span_seconds = 0.0;  ///< scheduled duration of the input
   double max_input_lag_seconds = 0.0;
-  long delayed_releases = 0;  ///< input items pushed later than scheduled
+  long delayed_releases = 0;  ///< input items released late (obs::is_late)
   long total_firings = 0;
   /// Firings (or source releases) the fault injector perturbed.
   long faults_injected = 0;

@@ -105,10 +105,10 @@ fault::DegradationReport make_degradation_report(
     cpp = &cp;
   }
   if (ctrl) return fault::build_degradation_report(*ctrl, cpp, trace);
-  const double rate = declared_rate(app, slowdown);
-  obs::DeadlineMonitor mon({rate, a.deadline_slack});
+  const auto dopt = declared_schedule(app, slowdown, a.deadline_slack);
+  obs::DeadlineMonitor mon(dopt);
   mon.observe(frames);
-  return fault::build_degradation_report(mon.verdicts(), {}, rate,
+  return fault::build_degradation_report(mon.verdicts(), {}, dopt.rate_hz,
                                          a.deadline_slack, cpp, trace);
 }
 
@@ -143,10 +143,7 @@ void write_analysis(const cli::Args& a, const CompiledApp& app,
   const obs::Trace& trace = rec.trace();
   const obs::FrameReport frames = obs::analyze_frames(trace);
 
-  const double rate = declared_rate(app, slowdown);
-  obs::DeadlineOptions dopt;
-  dopt.rate_hz = rate;
-  dopt.slack_seconds = a.deadline_slack;
+  const auto dopt = declared_schedule(app, slowdown, a.deadline_slack);
   obs::DeadlineMonitor mon(dopt, &rec.metrics());
   mon.observe(frames);
 
@@ -172,9 +169,10 @@ void write_analysis(const cli::Args& a, const CompiledApp& app,
     }
     char line[200];
     std::snprintf(line, sizeof line,
-                  "deadlines: rate %.1f Hz, slack %.3f ms -> %ld frames, "
-                  "%ld missed",
-                  rate, a.deadline_slack * 1e3, mon.frames(), mon.misses());
+                  "deadlines: rate %.1f Hz, slack %.3f ms, tolerance %.3f us "
+                  "-> %ld frames, %ld missed",
+                  dopt.rate_hz, a.deadline_slack * 1e3,
+                  dopt.tolerance_seconds * 1e6, mon.frames(), mon.misses());
     os << line;
     if (mon.misses() > 0) {
       std::snprintf(line, sizeof line, ", max lateness %.3f ms",
@@ -378,7 +376,7 @@ int main(int argc, char** argv) {
       if (a.shed) {
         fault::DegradationPolicy pol;
         pol.shed = true;
-        pol.rate_hz = declared_rate(app, slowdown);
+        pol.rate_hz = declared_schedule(app, slowdown).rate_hz;
         pol.slack_seconds = a.deadline_slack;
         // No metrics registry here: the analysis monitor feeds the
         // deadline counters when --analyze runs, and the runtime itself

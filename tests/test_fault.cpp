@@ -318,7 +318,7 @@ TEST(Degradation, AnchorAndOnTimeFramesNeverArm) {
   pol.shed = true;
   pol.rate_hz = 100.0;  // 10 ms period
   fault::DegradationController c(pol);
-  c.attach_sinks(1);
+  c.attach_sinks(1, 0.0);
   auto r0 = c.on_frame_end(0, 1.0);  // anchors the schedule
   EXPECT_TRUE(r0.completed);
   EXPECT_FALSE(r0.missed);
@@ -337,7 +337,7 @@ TEST(Degradation, MissArmsOnceAndCooldownSuppresses) {
   pol.max_pending_sheds = 1;
   pol.cooldown_frames = 2;
   fault::DegradationController c(pol);
-  c.attach_sinks(1);
+  c.attach_sinks(1, 0.0);
   (void)c.on_frame_end(0, 1.0);
   auto miss = c.on_frame_end(1, 1.5);  // deadline 1.01 -> way late
   EXPECT_TRUE(miss.missed);
@@ -374,12 +374,24 @@ TEST(Degradation, ObserveOnlyPolicyNeverSheds) {
   EXPECT_GE(c.misses(), 1);
 }
 
+TEST(Degradation, AttachedToleranceAbsorbsPhase) {
+  // The runtime attaches its lateness tolerance with the sink count; a
+  // frame misses only when it lands later than that past its deadline.
+  fault::DegradationPolicy pol;
+  pol.rate_hz = 100.0;
+  fault::DegradationController c(pol);
+  c.attach_sinks(1, 1e-3);
+  (void)c.on_frame_end(0, 1.0);
+  EXPECT_FALSE(c.on_frame_end(1, 1.0105).missed);  // 0.5 ms late
+  EXPECT_TRUE(c.on_frame_end(2, 1.0215).missed);   // 1.5 ms late
+}
+
 TEST(Degradation, MultiSinkFrameCompletesOnLastSink) {
   fault::DegradationPolicy pol;
   pol.shed = true;
   pol.rate_hz = 100.0;
   fault::DegradationController c(pol);
-  c.attach_sinks(2);
+  c.attach_sinks(2, 0.0);
   EXPECT_FALSE(c.on_frame_end(0, 1.0).completed);  // first sink: partial
   EXPECT_TRUE(c.on_frame_end(0, 1.001).completed);  // second sink closes it
   EXPECT_EQ(c.frames_completed(), 1);

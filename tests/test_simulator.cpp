@@ -309,9 +309,11 @@ TEST(Simulator, FewFireDecisionsPerFiring) {
 }
 
 // ---- golden digests ---------------------------------------------------------
-// FNV-1a over every SimResult field and every recorded trace event. The
-// constants were recorded with the sweep-based simulator this event-driven
-// one replaced; any change to an action, a sum or the event order shows.
+// FNV-1a over every SimResult field but delayed_releases, which the table
+// pins by value, and every recorded trace event. The digests were
+// recorded before the engines shared one lateness rule, which changed that
+// counter and nothing else; any change to an action, a sum or the event
+// order shows.
 
 class Fnv1a {
  public:
@@ -341,7 +343,6 @@ void digest_result(const SimResult& r, Fnv1a& h) {
   h.pod(r.sim_seconds);
   h.pod(r.input_span_seconds);
   h.pod(r.max_input_lag_seconds);
-  h.pod(r.delayed_releases);
   h.pod(r.total_firings);
   h.pod(r.faults_injected);
   h.pod(r.cores.size());
@@ -398,7 +399,13 @@ void digest_trace(const obs::Trace& t, Fnv1a& h) {
 /// so back-pressure and input lag drive the schedule.
 enum class DigestMode { kPlain, kRecorded, kFaulted, kCongested };
 
-std::uint64_t sim_digest(const std::string& name, DigestMode mode) {
+/// A digest case's FNV-1a value and, pinned apart, its late releases.
+struct DigestRun {
+  std::uint64_t digest = 0;
+  long delayed_releases = 0;
+};
+
+DigestRun sim_digest(const std::string& name, DigestMode mode) {
   const CompiledApp app =
       compile(apps::named_app(name, {32, 24}, 150.0, 2, 16));
   Graph g = app.graph.clone();
@@ -421,36 +428,43 @@ std::uint64_t sim_digest(const std::string& name, DigestMode mode) {
   Fnv1a h;
   digest_result(r, h);
   if (mode != DigestMode::kPlain) digest_trace(rec.trace(), h);
-  return h.value();
+  return {h.value(), r.delayed_releases};
 }
 
 struct Golden {
   const char* app;
   std::uint64_t plain, recorded, faulted, congested;
+  /// Releases late by the one lateness rule (more than one input pixel
+  /// period behind schedule), per DigestMode in the same order.
+  long late[4];
 };
 
 TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
   const Golden golden[] = {
-      {"fig1", 0x5a786405c91fcc5fULL, 0x6ea729417ade5332ULL,
-       0x17077d4a9ea2f552ULL, 0xa706496045218debULL},
-      {"analytics", 0xdcbf8d0988e544d8ULL, 0x6218c7e70945a882ULL,
-       0xc875d6f107c57788ULL, 0xac10e88b38a3abefULL},
-      {"parallel-buffer", 0xdb5b1dcfbe2a1a4dULL, 0x5d9f23a7f145a2e0ULL,
-       0xfcc4f69237e0e093ULL, 0x7d4aff14020aded6ULL},
-      {"multi-conv", 0xc4422f102fd0f87bULL, 0xd58475723faccf86ULL,
-       0xa2e85f67aeab5269ULL, 0x20bc6e0a2c79d03aULL},
-      {"feedback", 0x28081aeee081c3aeULL, 0x5187517c8b875106ULL,
-       0x5fa126495b015081ULL, 0xf127e487a484d020ULL},
-      {"motion", 0x7b600ad3833cf6ffULL, 0xbcd5223961ced408ULL,
-       0x8f9833445c1b58f7ULL, 0xec8bc9f998b3acd7ULL},
+      {"fig1", 0x465477204269837fULL, 0x93bb696c347e90d2ULL,
+       0x062c6a0247fc3029ULL, 0xb81a27604c0ae0e6ULL, {0, 0, 1353, 1395}},
+      {"analytics", 0xed9d6d7a63c905d8ULL, 0x52030ee2c8982182ULL,
+       0xa02fa5ca1ef23328ULL, 0x182b1eebedeb4a3cULL, {0, 0, 0, 1520}},
+      {"parallel-buffer", 0xe1a951596e1de4b5ULL, 0xf60bc4473dde53e8ULL,
+       0x6667ae62b2e71802ULL, 0x4c9f437ccc3c8014ULL, {3, 3, 1153, 1206}},
+      {"multi-conv", 0x3db759de5328019bULL, 0x0e8fd2321acfcf66ULL,
+       0x6da91b1f87b81a69ULL, 0x191632bb57338e29ULL, {0, 0, 0, 1238}},
+      {"feedback", 0x5b944ad32dac268eULL, 0x6d8ba8b28a22eda6ULL,
+       0x8b5b134e752d1ac1ULL, 0xb4fb2d126ca7b36dULL, {0, 0, 0, 0}},
+      {"motion", 0x79e2d1a0fa98ef9fULL, 0xab7fd81d06da27a8ULL,
+       0x47372c26d5253fb7ULL, 0x3b13c9205cb7d09aULL, {0, 0, 0, 0}},
   };
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.app);
-    EXPECT_EQ(sim_digest(g.app, DigestMode::kPlain), g.plain);
-    if (!obs::kCompiledIn) continue;  // the other modes digest the trace
-    EXPECT_EQ(sim_digest(g.app, DigestMode::kRecorded), g.recorded);
-    EXPECT_EQ(sim_digest(g.app, DigestMode::kFaulted), g.faulted);
-    EXPECT_EQ(sim_digest(g.app, DigestMode::kCongested), g.congested);
+    const std::uint64_t digests[] = {g.plain, g.recorded, g.faulted,
+                                     g.congested};
+    for (size_t m = 0; m < 4; ++m) {
+      // Every mode but kPlain digests the trace.
+      if (m > 0 && !obs::kCompiledIn) continue;
+      const DigestRun run = sim_digest(g.app, static_cast<DigestMode>(m));
+      EXPECT_EQ(run.digest, digests[m]) << "mode " << m;
+      EXPECT_EQ(run.delayed_releases, g.late[m]) << "mode " << m;
+    }
   }
 }
 
@@ -495,7 +509,8 @@ TEST(Simulator, RealtimeVerdictMatchesItsTrace) {
   // The verdict and the trace's late-release flags come from one rule.
   // Every named app at bpc's defaults, 4 frames: the recorded run keeps
   // every event, and it meets real time exactly when it completed with no
-  // late release. parallel-buffer is the one that misses (81.6 us of lag).
+  // late release, and its counter counts those flags. parallel-buffer is
+  // the one that misses (806 late releases, 81.6 us of lag).
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const cli::Args bpc;
   std::vector<std::string> violated;
@@ -526,9 +541,13 @@ TEST(Simulator, RealtimeVerdictMatchesItsTrace) {
       if (e.aux1 != 0.0f) ++late;
     }
     EXPECT_GT(releases, 0);
+    EXPECT_EQ(r.delayed_releases, late);
     EXPECT_EQ(r.realtime_met, r.completed && late == 0)
         << late << " late releases, max lag " << r.max_input_lag_seconds;
-    if (!r.realtime_met) violated.emplace_back(name);
+    if (!r.realtime_met) {
+      violated.emplace_back(name);
+      EXPECT_EQ(late, 806);
+    }
   }
   EXPECT_EQ(violated, std::vector<std::string>{"parallel-buffer"});
 }
