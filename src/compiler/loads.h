@@ -7,6 +7,9 @@
 // is kept up to date by the transformation passes: replicas carry 1/P of
 // the original data load, and inserted infrastructure kernels (buffers,
 // splits, joins, replicates, insets) get analytically computed entries.
+// It is the one demand model: the parallelizer, the greedy mapper, the
+// admission ledger and the predictor (src/predict) all price kernels
+// from it, so they agree by construction.
 
 #include <vector>
 
@@ -17,10 +20,11 @@
 namespace bpp {
 
 struct LoadModel {
-  double cycles_per_second = 0.0;      ///< method execution
+  double cycles_per_second = 0.0;      ///< methods + forward FSM steps
   double read_words_per_second = 0.0;  ///< input access volume
   double write_words_per_second = 0.0; ///< output access volume
-  double firings_per_second = 0.0;     ///< method activations
+  double firings_per_second = 0.0;     ///< activations, incl. forwards
+  double forwards_per_second = 0.0;    ///< token forwards in firings
   long memory_words = 0;               ///< resident state + port buffers
 
   /// Fraction of one PE this kernel consumes, including I/O access time
@@ -44,6 +48,7 @@ struct LoadModel {
     out.read_words_per_second /= p;
     out.write_words_per_second /= p;
     out.firings_per_second /= p;
+    out.forwards_per_second /= p;
     return out;
   }
 };
@@ -52,19 +57,15 @@ class LoadMap {
  public:
   LoadMap() = default;
 
-  /// Seed from a data-flow analysis of (a prefix of) the graph.
-  LoadMap(const Graph& g, const DataflowResult& df) {
-    loads_.resize(static_cast<size_t>(g.kernel_count()));
-    for (KernelId k = 0; k < g.kernel_count(); ++k) {
-      const KernelAnalysis& a = df.kernel[static_cast<size_t>(k)];
-      LoadModel& l = loads_[static_cast<size_t>(k)];
-      l.cycles_per_second = a.cycles_per_frame * a.rate_hz;
-      l.read_words_per_second = a.read_words_per_frame * a.rate_hz;
-      l.write_words_per_second = a.write_words_per_frame * a.rate_hz;
-      l.firings_per_second = a.firings_per_frame * a.rate_hz;
-      l.memory_words = a.memory_words;
-    }
-  }
+  /// Seed from a data-flow analysis of (a prefix of) the graph, priced as
+  /// the engines execute it. On top of the analysis' per-kernel counts:
+  ///  * write traffic is charged per out-*channel* (the analysis charges
+  ///    each output port once, but a port fanning out writes one copy per
+  ///    channel), including the control tokens each framed stream carries;
+  ///  * token-forward firings are added: a control token no method of the
+  ///    kernel handles costs a context switch, a 2-cycle FSM step and one
+  ///    read word per popped input (firing.h `fire`).
+  LoadMap(const Graph& g, const DataflowResult& df);
 
   [[nodiscard]] const LoadModel& of(KernelId k) const {
     return loads_.at(static_cast<size_t>(k));

@@ -123,21 +123,32 @@ Mapping map_greedy(const Graph& g, const LoadMap& loads, const MachineSpec& m) {
   return out;
 }
 
-double estimated_utilization(const Graph& g, const LoadMap& loads,
-                             const MachineSpec& m, const Mapping& map) {
-  std::vector<double> per_core(static_cast<size_t>(map.cores), 0.0);
-  std::vector<bool> counts(static_cast<size_t>(map.cores), false);
+std::vector<double> per_core_utilization(const Graph& g, const LoadMap& loads,
+                                         const MachineSpec& m,
+                                         const Mapping& map) {
+  std::vector<double> util(static_cast<size_t>(map.cores), 0.0);
   for (KernelId k = 0; k < g.kernel_count(); ++k) {
     const int c = map.core_of[static_cast<size_t>(k)];
-    if (c < 0) continue;
-    per_core[static_cast<size_t>(c)] += loads.of(k).utilization(m);
-    if (!g.kernel(k).is_source()) counts[static_cast<size_t>(c)] = true;
+    if (c < 0 || g.kernel(k).is_source()) continue;
+    util[static_cast<size_t>(c)] += loads.of(k).utilization(m);
+  }
+  return util;
+}
+
+double estimated_utilization(const Graph& g, const LoadMap& loads,
+                             const MachineSpec& m, const Mapping& map) {
+  const std::vector<double> util = per_core_utilization(g, loads, m, map);
+  std::vector<bool> hosts(util.size(), false);
+  for (KernelId k = 0; k < g.kernel_count(); ++k) {
+    const int c = map.core_of[static_cast<size_t>(k)];
+    if (c >= 0 && !g.kernel(k).is_source())
+      hosts[static_cast<size_t>(c)] = true;
   }
   double sum = 0.0;
   int n = 0;
-  for (size_t c = 0; c < per_core.size(); ++c) {
-    if (!counts[c]) continue;  // source-only cores model the sensor
-    sum += per_core[c];
+  for (size_t c = 0; c < util.size(); ++c) {
+    if (!hosts[c]) continue;  // source-only cores model the sensor
+    sum += util[c];
     ++n;
   }
   return n > 0 ? sum / n : 0.0;

@@ -37,8 +37,17 @@ struct Mapping {
 [[nodiscard]] Mapping map_greedy(const Graph& g, const LoadMap& loads,
                                  const MachineSpec& m);
 
-/// Compiler-estimated average core utilization under a mapping (sources
-/// excluded — they model the sensor, not a PE).
+/// Per-core utilization of a mapping: the sum of its kernels' LoadModel
+/// utilizations, sources excluded — they model the sensor, not a PE (the
+/// host runtime parks them between paced releases). Also the admission
+/// ledger's per-virtual-core demand (service/admission.h).
+[[nodiscard]] std::vector<double> per_core_utilization(const Graph& g,
+                                                       const LoadMap& loads,
+                                                       const MachineSpec& m,
+                                                       const Mapping& map);
+
+/// Compiler-estimated average core utilization under a mapping: the mean
+/// of per_core_utilization over the cores hosting a non-source kernel.
 [[nodiscard]] double estimated_utilization(const Graph& g, const LoadMap& loads,
                                            const MachineSpec& m,
                                            const Mapping& map);

@@ -212,7 +212,7 @@ RateValidation validate_rates(const CompiledApp& app,
   }
 
   // Per-kernel method-activation counts (token forwards, method -1, are
-  // scheduling noise the data-flow analysis does not count as firings):
+  // left out on both sides: the prediction subtracts forwards_per_second):
   // inside the window, plus first/last/penultimate start times for the
   // span fallback when fewer than three frames were tracked.
   std::vector<long> in_window(static_cast<size_t>(n), 0);
@@ -240,7 +240,8 @@ RateValidation validate_rates(const CompiledApp& app,
     row.kernel = k;
     row.name = kn.name();
     if (k < app.loads.size())
-      row.predicted_hz = app.loads.of(k).firings_per_second;
+      row.predicted_hz = app.loads.of(k).firings_per_second -
+                         app.loads.of(k).forwards_per_second;
     if (windowed && w1 > w0 && in_window[ks] > 0) {
       row.firings = in_window[ks];
       row.measured = true;

@@ -82,9 +82,9 @@ void write_utilization(const obs::UtilizationReport& u, std::ostream& os);
 [[nodiscard]] std::string utilization_string(const obs::UtilizationReport& u);
 
 /// One row of the predicted-vs-measured firing-rate table: the compiler's
-/// steady-state estimate (LoadMap firings_per_second, i.e. the data-flow
-/// analysis' firings_per_frame * rate_hz) against the rate observed in a
-/// recorded trace.
+/// steady-state estimate (LoadMap method activations, firings_per_second
+/// minus forwards_per_second) against the rate observed in a recorded
+/// trace.
 struct RateRow {
   KernelId kernel = -1;
   std::string name;

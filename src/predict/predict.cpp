@@ -1,9 +1,6 @@
 #include "predict/predict.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "core/token.h"
 
 namespace bpp::predict {
 
@@ -19,92 +16,14 @@ bool analysis_current(const CompiledApp& app) {
              static_cast<int>(app.analysis.channel.size());
 }
 
-/// Control-token traffic of one framed stream, per frame: end-of-line
-/// tokens (one per grid row) plus one end-of-frame. End-of-stream happens
-/// once per run, not per frame, so it is not part of steady state.
-double tokens_per_frame(const StreamInfo& si) {
-  if (si.rate_hz <= 0.0) return 0.0;  // untimed parameter stream
-  return static_cast<double>(si.grid.h) + 1.0;
-}
-
-/// Exact-tier composition of one kernel's per-frame demand. The stored
-/// analysis already counts every method firing (data- and token-triggered)
-/// with its reads and cycles; what it does not count is
-///  * write traffic per *channel* (it charges per output port once, but a
-///    port fanning out writes one copy per channel — simulator.cpp
-///    drain_pending), and
-///  * token-forward firings: a control token no method handles costs a
-///    context switch, a 2-cycle FSM step, one read word per popped input,
-///    and one written word per forwarded copy (simulator.cpp core_action).
-/// Both are recomposed here from the graph topology and channel streams.
-void compose_exact(const CompiledApp& app, KernelId k, KernelPrediction& p) {
-  const Graph& g = app.graph;
-  const Kernel& kn = g.kernel(k);
-  const KernelAnalysis& a = app.analysis.kernel[static_cast<size_t>(k)];
-
-  p.exact = true;
-  p.rate_hz = a.rate_hz;
-  p.firings = static_cast<double>(a.firings_per_frame);
-  p.run_cycles = static_cast<double>(a.cycles_per_frame);
-  p.read_words = static_cast<double>(a.read_words_per_frame);
-
-  // Write traffic, per out-channel: data items plus the control tokens the
-  // kernel emits or forwards downstream (grid.h end-of-lines + 1
-  // end-of-frame per frame, plus declared user tokens).
-  p.write_words = 0.0;
-  for (ChannelId c : g.out_channels(k)) {
-    const StreamInfo& si = app.analysis.channel[static_cast<size_t>(c)];
-    if (si.rate_hz <= 0.0) continue;  // untimed: emitted once, not per frame
-    p.write_words +=
-        static_cast<double>(si.items_per_frame) *
-            static_cast<double>(si.item.area()) +
-        tokens_per_frame(si);
-    for (const auto& tr : si.token_rates) p.write_words += tr.second;
-  }
-
-  // Token forwards: for every data-triggered method, tokens arriving on
-  // its trigger inputs that no token method of this kernel handles are
-  // forwarded — one firing per token instance, popping every input of the
-  // method (the subtract-kernel rule: the class must head all of them).
-  for (size_t m = 0; m < kn.methods().size(); ++m) {
-    const MethodDef& md = kn.methods()[m];
-    if (md.token_triggered() || md.inputs.empty()) continue;
-    // Live trigger inputs of this method and the framed stream they carry.
-    int live_inputs = 0;
-    const StreamInfo* si = nullptr;
-    for (int port : md.inputs) {
-      const auto ch = g.in_channel(k, port);
-      if (!ch) continue;
-      ++live_inputs;
-      const StreamInfo& s = app.analysis.channel[static_cast<size_t>(*ch)];
-      if (s.rate_hz > 0.0) si = &s;
-    }
-    if (live_inputs == 0 || !si) continue;
-    const int port0 = md.inputs.front();
-    double forwards = 0.0;
-    if (kn.token_method_of_input(port0, tok::kEndOfLine) < 0)
-      forwards += static_cast<double>(si->grid.h);
-    if (kn.token_method_of_input(port0, tok::kEndOfFrame) < 0) forwards += 1.0;
-    for (const auto& tr : si->token_rates)
-      if (kn.token_method_of_input(port0, tr.first) < 0) forwards += tr.second;
-    if (forwards <= 0.0) continue;
-    p.forwards += forwards;
-    p.firings += forwards;
-    p.run_cycles += 2.0 * forwards;  // token forwarding FSM step
-    p.read_words += forwards * static_cast<double>(live_inputs);
-  }
-}
-
-/// Approximate-tier composition from the LoadMap (per-second demand
-/// maintained through every compiler pass, including the analytic
-/// forwarding estimates for parallelize-inserted split/join kernels).
-void compose_from_loads(const CompiledApp& app, KernelId k, double input_rate,
-                        KernelPrediction& p) {
-  const LoadModel& lm = app.loads.of(k);
-  p.exact = false;
-  p.rate_hz = input_rate;
-  const double frames = input_rate > 0.0 ? input_rate : 1.0;
+/// Per-frame demand of one kernel, composed from its LoadMap entry (the
+/// compiler's per-second price, token forwards and per-channel writes
+/// included). `rate_hz` is the frame rate the entry is divided by.
+void compose(const LoadModel& lm, double rate_hz, KernelPrediction& p) {
+  p.rate_hz = rate_hz;
+  const double frames = rate_hz > 0.0 ? rate_hz : 1.0;
   p.firings = lm.firings_per_second / frames;
+  p.forwards = lm.forwards_per_second / frames;
   p.run_cycles = lm.cycles_per_second / frames;
   p.read_words = lm.read_words_per_second / frames;
   p.write_words = lm.write_words_per_second / frames;
@@ -134,8 +53,8 @@ Prediction predict(const CompiledApp& app, const PredictOptions& options) {
   if (out.input_rate_hz > 0.0)
     out.input_period_seconds = 1.0 / out.input_rate_hz;
 
-  const bool exact_tier = analysis_current(app);
-  out.exact = exact_tier;
+  const bool analyzed = analysis_current(app);
+  out.exact = analyzed;
 
   // Per-kernel composition.
   out.kernels.resize(static_cast<size_t>(g.kernel_count()));
@@ -145,12 +64,12 @@ Prediction predict(const CompiledApp& app, const PredictOptions& options) {
     p.name = g.kernel(k).name();
     p.is_source = g.kernel(k).is_source();
     if (p.is_source) continue;  // releases off-core, zero modeled demand
-    const bool resolved =
-        exact_tier && app.analysis.kernel[static_cast<size_t>(k)].resolved;
-    if (resolved)
-      compose_exact(app, k, p);
-    else
-      compose_from_loads(app, k, out.input_rate_hz, p);
+    // Entries the resolved analysis still describes are divided per frame
+    // of the kernel's own stream; on parallelized graphs, per input frame.
+    const KernelAnalysis* a =
+        analyzed ? &app.analysis.kernel[static_cast<size_t>(k)] : nullptr;
+    p.exact = a && a->resolved;
+    compose(app.loads.of(k), p.exact ? a->rate_hz : out.input_rate_hz, p);
     if (!p.exact) out.exact = false;
 
     if (!options.costs.empty()) {

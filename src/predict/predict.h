@@ -4,28 +4,30 @@
 //
 // The simulator answers "does this pipeline meet real time?" by executing
 // the compiled graph against the machine's timing model. This module
-// answers the same question analytically: it walks the compiled graph and
-// composes per-kernel cost models — method cycles, per-word channel
-// traffic, context switches, and the control-token forwarding the firing
-// rules imply — through the placement's core assignment, and emits
-// per-core utilization, the steady-state frame period, a critical-path
-// latency estimate, and a meets-deadline verdict.
+// answers the same question analytically: it composes each kernel's
+// LoadMap entry (compiler/loads.h — method cycles, per-channel word
+// traffic, context switches and the token forwards the firing rules
+// imply) through the placement's core assignment, and emits per-core
+// utilization, the steady-state frame period, a critical-path latency
+// estimate, and a meets-deadline verdict. The LoadMap is the compiler's
+// and the admission ledger's demand model too, so all three price the
+// same numbers.
 //
-// Two fidelity tiers, reported via Prediction::exact:
+// Two fidelity tiers, reported via Prediction::exact, say where the
+// LoadMap entries come from:
 //
-//  * Exact: when the compiled graph is structurally identical to the one
-//    the stored data-flow analysis describes (no parallelization edits),
-//    every kernel's per-frame demand is composed from the analysis plus an
-//    explicit model of token-forward firings (which the analysis omits but
-//    the engines execute). On such graphs the predicted steady period and
-//    per-core per-frame busy cycles reproduce the simulator bit for bit —
-//    tests/test_predict.cpp holds this to ==, not a tolerance.
+//  * Exact: the compiled graph is structurally identical to the one the
+//    stored data-flow analysis describes (no parallelization edits), so
+//    every entry was seeded from the resolved analysis. On such graphs
+//    the predicted steady period and per-core per-frame busy cycles
+//    reproduce the simulator bit for bit — tests/test_predict.cpp holds
+//    this to ==, not a tolerance.
 //
-//  * Approximate: parallelized graphs contain split/join kernels whose
-//    LoadMap entries are the compiler's analytic forwarding estimates, and
-//    whose data-dependent routing the stream calculus does not model. The
-//    predictor then composes the LoadMap through the mapping; accuracy
-//    against the simulator is documented (and CI-gated) in EXPERIMENTS.md.
+//  * Approximate: parallelized graphs contain replicas and split/join
+//    kernels whose entries are the parallelizer's analytic estimates,
+//    and whose data-dependent routing the stream calculus does not
+//    model. Accuracy against the simulator is documented (and CI-gated)
+//    in EXPERIMENTS.md.
 //
 // Kernels with dynamic (input-dependent) cycle counts are predicted at
 // their declared bound in both tiers, so the prediction is an upper bound
@@ -45,7 +47,7 @@ struct KernelPrediction {
   KernelId kernel = -1;
   std::string name;
   bool is_source = false;
-  bool exact = false;       ///< composed from resolved analysis (else LoadMap)
+  bool exact = false;       ///< LoadMap entry seeded from resolved analysis
   bool calibrated = false;  ///< run cycles replaced from the cost table
   double rate_hz = 0.0;     ///< frames per second seen by this kernel
   double firings = 0.0;     ///< method firings + token forwards, per frame
@@ -71,7 +73,7 @@ struct CorePrediction {
 
 struct Prediction {
   MachineSpec machine;
-  bool exact = false;  ///< every non-source kernel composed exactly
+  bool exact = false;  ///< every non-source kernel's entry is exact
   /// Input frame rate (max over sources) and its period.
   double input_rate_hz = 0.0;
   double input_period_seconds = 0.0;

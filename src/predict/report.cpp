@@ -8,7 +8,7 @@ namespace bpp::predict {
 
 void write_prediction(const Prediction& p, std::ostream& os) {
   os << "performance prediction ("
-     << (p.exact ? "exact composition" : "approximate: LoadMap composition")
+     << (p.exact ? "exact composition" : "approximate: parallelizer estimates")
      << "):\n";
   os << "  input " << TextTable::num(p.input_rate_hz, 1) << " Hz ("
      << TextTable::num(p.input_period_seconds * 1e6, 1) << " us/frame";

@@ -1,11 +1,8 @@
 #include "service/admission.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
-
-#include "predict/predict.h"
 
 namespace bpp::service {
 
@@ -16,35 +13,6 @@ const char* verdict_name(Verdict v) {
     case Verdict::kRejected: return "rejected";
   }
   return "?";
-}
-
-std::vector<double> vcore_utilization(const Graph& g, const LoadMap& loads,
-                                      const Mapping& mapping,
-                                      const MachineSpec& m) {
-  std::vector<double> util(static_cast<size_t>(mapping.cores), 0.0);
-  for (KernelId k = 0; k < g.kernel_count(); ++k) {
-    if (g.kernel(k).is_source()) continue;
-    util[static_cast<size_t>(mapping.core_of.at(static_cast<size_t>(k)))] +=
-        loads.of(k).utilization(m);
-  }
-  return util;
-}
-
-PredictionCrossCheck cross_check_prediction(
-    const CompiledApp& app, const std::vector<double>& vcore_util,
-    double tolerance) {
-  const predict::Prediction pred = predict::predict(app);
-  PredictionCrossCheck x;
-  x.predicted_period_seconds = pred.steady_period_seconds;
-  for (const predict::CorePrediction& c : pred.cores) {
-    const double ledger = static_cast<size_t>(c.core) < vcore_util.size()
-                              ? vcore_util[static_cast<size_t>(c.core)]
-                              : 0.0;
-    x.max_abs_deviation =
-        std::max(x.max_abs_deviation, std::fabs(c.utilization - ledger));
-  }
-  x.consistent = x.max_abs_deviation <= tolerance;
-  return x;
 }
 
 namespace {

@@ -29,7 +29,6 @@
 #include "compiler/loads.h"
 #include "compiler/machine.h"
 #include "compiler/multiplex.h"
-#include "compiler/pipeline.h"
 #include "core/graph.h"
 
 namespace bpp::service {
@@ -63,33 +62,13 @@ struct Placement {
   std::string reason;  ///< human-readable justification
 };
 
-/// Per-virtual-core utilization of a compiled mapping: the sum of its
-/// kernels' LoadModel utilizations. Sources are excluded — they model the
-/// sensor, not a PE (the host runtime parks them between paced releases)
-/// — matching the compiler's estimated_utilization convention.
-[[nodiscard]] std::vector<double> vcore_utilization(const Graph& g,
-                                                    const LoadMap& loads,
-                                                    const Mapping& mapping,
-                                                    const MachineSpec& m);
-
-/// Differential cross-check of the LoadMap admission ledger against the
-/// compositional predictor (src/predict). Both price the same compiled
-/// app by independent routes — the ledger sums LoadModel utilizations per
-/// virtual core, the predictor composes per-frame demand (including the
-/// token forwards the LoadMap omits) through the same mapping — so their
-/// per-virtual-core vectors must agree to within a small margin. A large
-/// deviation means one of the two models is wrong for this graph; the
-/// daemon records it in the tenant's reason rather than trusting either
-/// side blindly.
-struct PredictionCrossCheck {
-  double predicted_period_seconds = 0.0;  ///< standalone steady period
-  double max_abs_deviation = 0.0;  ///< worst per-vcore |predictor-ledger|, PE
-  bool consistent = false;         ///< deviation within tolerance
-};
-
-[[nodiscard]] PredictionCrossCheck cross_check_prediction(
-    const CompiledApp& app, const std::vector<double>& vcore_util,
-    double tolerance = 0.05);
+/// Per-virtual-core utilization of a compiled mapping: the compiler's
+/// per_core_utilization (compiler/multiplex.h), sources excluded.
+[[nodiscard]] inline std::vector<double> vcore_utilization(
+    const Graph& g, const LoadMap& loads, const Mapping& mapping,
+    const MachineSpec& m) {
+  return per_core_utilization(g, loads, m, mapping);
+}
 
 /// The pool's capacity ledger. Not thread-safe; the daemon serializes
 /// calls under its own lock.

@@ -22,6 +22,7 @@
 #include "fault/plan.h"
 #include "obs/frames.h"
 #include "obs/recorder.h"
+#include "predict/predict.h"
 #include "runtime/machine.h"
 #include "runtime/program.h"
 #include "runtime/runtime.h"
@@ -76,7 +77,7 @@ struct Daemon::Tenant {
   TenantState state = TenantState::kPending;
   Placement placement;
   std::vector<double> vcore_util;
-  PredictionCrossCheck xcheck;
+  double predicted_period_seconds = 0.0;  ///< standalone steady period
   std::string reason;
   double rate_hz = 0.0;  ///< deadline-schedule rate (post-slowdown)
   bool evicting = false;
@@ -186,18 +187,10 @@ struct Daemon::Impl {
     CompiledApp& app = *t.app;
 
     t.vcore_util =
-        vcore_utilization(app.graph, app.loads, app.mapping, opt.machine);
-    t.xcheck = cross_check_prediction(app, t.vcore_util);
+        per_core_utilization(app.graph, app.loads, opt.machine, app.mapping);
+    t.predicted_period_seconds = predict::predict(app).steady_period_seconds;
     t.placement = admission.admit(t.vcore_util);
     t.reason = t.placement.reason;
-    if (!t.xcheck.consistent) {
-      char warn[128];
-      std::snprintf(warn, sizeof warn,
-                    "; WARNING: predictor deviates %.3f PE from the "
-                    "admission ledger",
-                    t.xcheck.max_abs_deviation);
-      t.reason += warn;
-    }
     if (t.placement.verdict == Verdict::kDegraded && !spec.allow_degraded) {
       // The submitter refused degraded service; undo the commit.
       admission.release(t.placement, t.vcore_util);
@@ -478,9 +471,7 @@ struct Daemon::Impl {
     s.peak_load = t.placement.peak_load;
     s.rate_hz = t.rate_hz;
     s.restarts = t.restarts;
-    s.predicted_period_seconds = t.xcheck.predicted_period_seconds;
-    s.predictor_deviation = t.xcheck.max_abs_deviation;
-    s.predictor_consistent = t.xcheck.consistent;
+    s.predicted_period_seconds = t.predicted_period_seconds;
     return s;
   }
 
@@ -827,9 +818,8 @@ void Daemon::write_status(std::ostream& os) const {
       os << line;
     }
     if (s.predicted_period_seconds > 0.0) {
-      std::snprintf(line, sizeof line, " predicted_period=%.2fms%s",
-                    s.predicted_period_seconds * 1e3,
-                    s.predictor_consistent ? "" : " predictor=INCONSISTENT");
+      std::snprintf(line, sizeof line, " predicted_period=%.2fms",
+                    s.predicted_period_seconds * 1e3);
       os << line;
     }
     if (s.frames_completed > 0) {
@@ -883,8 +873,6 @@ std::string Daemon::status_json() const {
     o["latency_p95_seconds"] = s.latency_p95;
     o["min_slack_seconds"] = s.min_slack;
     o["predicted_period_seconds"] = s.predicted_period_seconds;
-    o["predictor_deviation_pe"] = s.predictor_deviation;
-    o["predictor_consistent"] = s.predictor_consistent;
     arr.push_back(json::Value(std::move(o)));
   }
   json::Object root;

@@ -123,13 +123,9 @@ struct TenantStatus {
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;
   double min_slack = 0.0;  ///< min(deadline - completion) over frames
-  /// Compositional-predictor cross-check of the admission ledger
-  /// (admission.h): the predictor's standalone steady period and whether
-  /// its per-virtual-core pricing agreed with the LoadMap's. Zero period
-  /// when the tenant never compiled.
+  /// The compositional predictor's standalone steady period (src/predict).
+  /// Zero when the tenant never compiled.
   double predicted_period_seconds = 0.0;
-  double predictor_deviation = 0.0;  ///< worst per-vcore gap, PE units
-  bool predictor_consistent = true;
 };
 
 /// Pool-level counters for the status header.

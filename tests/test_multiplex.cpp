@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
+
 #include "apps/pipelines.h"
 #include "compiler/pipeline.h"
 #include "kernels/buffer.h"
+#include "test_util.h"
 
 namespace bpp {
 namespace {
@@ -122,6 +128,71 @@ TEST(Multiplex, MergesOnlyNeighbors) {
       }
     }
     EXPECT_EQ(seen.size(), grp.size());
+  }
+}
+
+// Compile decisions pinned bit for bit: kernel count, kernel-to-core
+// mapping and replication factors of every named app over a grid of
+// frame sizes, rates and the reuse option. A cost-model change that tips
+// a parallelization or merge threshold shows here. Configurations that do
+// not compile contribute a fixed marker, so they stay pinned as failures.
+std::uint64_t compile_decision_digest(const std::string& name) {
+  struct Config {
+    Size2 frame;
+    double rate;
+  };
+  const Config grid[] = {
+      {{48, 36}, 180.0},
+      {{32, 24}, 20.0},
+      {{64, 48}, 150.0},
+      {{96, 72}, 130.0},
+  };
+  testutil::Fnv1a h;
+  for (const Config& c : grid) {
+    for (bool reuse : {false, true}) {
+      CompileOptions opt;
+      opt.reuse_opt = reuse;
+      try {
+        const CompiledApp app =
+            compile(apps::named_app(name, c.frame, c.rate, 2), opt);
+        h.pod(static_cast<std::uint64_t>(app.graph.kernel_count()));
+        h.pod(static_cast<std::uint64_t>(app.mapping.cores));
+        for (int core : app.mapping.core_of)
+          h.pod(static_cast<std::uint64_t>(core));
+        for (const auto& [kernel, p] : app.parallelization.factors) {
+          h.str(kernel);
+          h.pod(static_cast<std::uint64_t>(p));
+        }
+      } catch (const Error&) {
+        h.pod(std::uint64_t{0xdead});
+      }
+    }
+  }
+  return h.value();
+}
+
+TEST(CompileDecisions, NamedAppDigestsArePinned) {
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {"fig1", 0xe22956e350abb16aULL},
+      {"bayer", 0x490d3694cdd558b9ULL},
+      {"histogram", 0x687b585eef69daa3ULL},
+      {"parallel-buffer", 0x9758dcf567654d13ULL},
+      {"multi-conv", 0x930bb9123339366dULL},
+      {"pipeline", 0x1075a4af9d62caadULL},
+      {"sobel", 0x41b5a81d0a95a50cULL},
+      {"downsample", 0xb74ba9fc46259f25ULL},
+      {"separable", 0x8b49acf8ef8808a8ULL},
+      {"motion", 0xd0ae4dc25e336e45ULL},
+      {"feedback", 0xfda9316b208c88a5ULL},
+      {"radio", 0x3df9c1d41fa6dad1ULL},
+      {"analytics", 0xdc38994faf9744f0ULL},
+  };
+  for (const auto& [name, want] : golden) {
+    const std::uint64_t got = compile_decision_digest(name);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, want) << name << " digest " << hex;
   }
 }
 

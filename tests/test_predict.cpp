@@ -230,15 +230,19 @@ TEST(PredictComposition, BusyCyclesComposeFromParts) {
 }
 
 TEST(PredictComposition, TokenForwardsOnlyOnForwardingKernels) {
-  // Compute kernels have no token methods, so the predictor must model
+  // Compute kernels have no token methods, so the LoadMap must price
   // their end-of-line/end-of-frame forwards; buffers and sinks consume
-  // tokens in real methods and must show none.
+  // tokens in real methods and must show none. The predictor reads the
+  // forwards from the LoadMap.
   CompiledApp app = compile_chain({16, 16}, 64.0, 3, {StageKind::Sobel},
                                   dyadic_machine());
   const predict::Prediction pred = predict::predict(app);
   ASSERT_TRUE(pred.exact);
   for (const auto& kp : pred.kernels) {
     if (kp.is_source) continue;
+    EXPECT_EQ(kp.forwards,
+              app.loads.of(kp.kernel).forwards_per_second / kp.rate_hz)
+        << kp.name;
     if (kp.name.rfind("stage", 0) == 0) {
       EXPECT_GT(kp.forwards, 0.0) << kp.name;
       // Each forward is one extra firing with a 2-cycle FSM step.
@@ -373,24 +377,32 @@ TEST(PredictVerdict, UnderloadedMeetsExactlyItsPeriod) {
 }
 
 // ---------------------------------------------------------------------------
-// The admission cross-check: the LoadMap ledger and the predictor price
-// the same compiled app by independent routes and must agree.
+// One demand model: the admission ledger and the predictor both price the
+// LoadMap, so their per-core utilizations are the same numbers.
 
-TEST(PredictCrossCheck, AgreesWithAdmissionLedgerAcrossApps) {
-  const char* names[] = {"bayer", "histogram", "sobel", "pipeline",
-                         "feedback"};
-  for (const char* name : names) {
-    SCOPED_TRACE(name);
-    CompiledApp app =
-        compile(apps::named_app(name, {48, 36}, 120.0, 2, 32));
-    const std::vector<double> ledger = service::vcore_utilization(
-        app.graph, app.loads, app.mapping, app.options.machine);
-    const service::PredictionCrossCheck x =
-        service::cross_check_prediction(app, ledger);
-    EXPECT_TRUE(x.consistent)
-        << "predictor deviates " << x.max_abs_deviation << " PE";
-    EXPECT_GT(x.predicted_period_seconds, 0.0);
-  }
+TEST(PredictOneModel, LedgerEqualsPredictorPerCoreAcrossApps) {
+  const char* names[] = {"fig1", "bayer", "histogram", "parallel-buffer",
+                         "multi-conv", "pipeline", "sobel", "downsample",
+                         "separable", "motion", "feedback", "radio",
+                         "analytics"};
+  const struct {
+    Size2 frame;
+    double rate;
+  } configs[] = {{{48, 36}, 180.0}, {{64, 48}, 150.0}};
+  for (const char* name : names)
+    for (const auto& c : configs) {
+      SCOPED_TRACE(std::string(name) + " " + std::to_string(c.frame.w) +
+                   "x" + std::to_string(c.frame.h));
+      CompiledApp app = compile(apps::named_app(name, c.frame, c.rate, 2));
+      const std::vector<double> ledger = service::vcore_utilization(
+          app.graph, app.loads, app.mapping, app.options.machine);
+      const predict::Prediction pred = predict::predict(app);
+      EXPECT_GT(pred.steady_period_seconds, 0.0);
+      ASSERT_EQ(pred.cores.size(), ledger.size());
+      for (size_t k = 0; k < ledger.size(); ++k)
+        EXPECT_NEAR(pred.cores[k].utilization, ledger[k], 1e-12)
+            << "core " << k;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -315,26 +315,7 @@ TEST(Simulator, FewFireDecisionsPerFiring) {
 // counter and nothing else; any change to an action, a sum or the event
 // order shows.
 
-class Fnv1a {
- public:
-  void bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
-  }
-  template <class T>
-  void pod(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bytes(&v, sizeof v);
-  }
-  void str(const std::string& s) {
-    pod(s.size());
-    bytes(s.data(), s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using testutil::Fnv1a;
 
 void digest_result(const SimResult& r, Fnv1a& h) {
   h.pod(r.completed);

@@ -2,8 +2,11 @@
 // Shared helpers for the test suite: tiny configurable kernels, manual
 // engine drivers, and graph-building shorthands.
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/graph.h"
@@ -144,5 +147,28 @@ class ItemSink final : public Kernel {
   if (eos) items.push_back(token(tok::kEndOfStream, 1));
   return items;
 }
+
+/// 64-bit FNV-1a over raw bytes: the golden digests pin whole results
+/// with it.
+class Fnv1a {
+ public:
+  void bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
+  }
+  template <class T>
+  void pod(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    bytes(&v, sizeof v);
+  }
+  void str(const std::string& s) {
+    pod(s.size());
+    bytes(s.data(), s.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace bpp::testutil
