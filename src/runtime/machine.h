@@ -27,6 +27,7 @@
 // drain; after detach() returns, no worker holds a reference to the
 // program and it is safe to destroy.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -42,6 +43,34 @@
 namespace bpp::rt {
 
 class Program;
+
+/// Whether a paced release due at machine time `due` has arrived at time
+/// `t`. The one comparison the worker, Program::fire_due_sources and the
+/// source loop share; 1 ns absorbs rounding in the seconds <-> clock
+/// conversions.
+[[nodiscard]] inline bool release_is_due(double t, double due) {
+  return t + 1e-9 >= due;
+}
+
+/// How late this thread's timed waits return: a running mean of wake
+/// time minus requested time. A worker waiting for a paced release wakes
+/// this much early and polls the rest (DESIGN.md §4.1). Worker-private.
+class WakeMargin {
+ public:
+  /// Cap on one observation, and so on the estimate: about four times
+  /// the lateness of a 1 ns-slack wait on an idle host. A later wake was
+  /// a preemption, not timer lateness, and must not make the worker poll
+  /// longer.
+  static constexpr double kMaxSeconds = 20e-6;
+
+  [[nodiscard]] double seconds() const { return seconds_; }
+  void observe(double late_seconds) {
+    seconds_ += (std::clamp(late_seconds, 0.0, kMaxSeconds) - seconds_) / 8;
+  }
+
+ private:
+  double seconds_ = 10e-6;
+};
 
 /// Intrusive node of a per-core ready queue; one per (program, kernel).
 /// A kernel is in at most one queue at a time (its program's ready bit

@@ -369,7 +369,7 @@ struct GraphProgram::Impl final : rt::Program {
     for (KernelId k : core_kernels_[static_cast<size_t>(core)]) {
       double& rel = w.timed[static_cast<size_t>(k)];
       if (rel < 0.0) continue;
-      if (now + 1e-9 >= rel) {
+      if (rt::release_is_due(now, rel)) {
         rel = -1.0;
         --w.timed_armed;
         mark_ready(k, core);  // our own queue; runs on the next pop
@@ -543,7 +543,7 @@ struct GraphProgram::Impl final : rt::Program {
         // camera does not pause while we shed.
         if (opt_.pace_inputs) {
           const double release = next->release_seconds * opt_.pace_slowdown;
-          if (elapsed() + 1e-9 < release) {
+          if (!rt::release_is_due(elapsed(), release)) {
             if (w.timed[static_cast<size_t>(k)] < 0.0) ++w.timed_armed;
             w.timed[static_cast<size_t>(k)] = release;  // due later
             machine_.arm_release(core, release + t0_off_);

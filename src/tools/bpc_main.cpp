@@ -389,6 +389,13 @@ int main(int argc, char** argv) {
       if (r.faults_injected > 0)
         extra = " faults=" + std::to_string(r.faults_injected);
       if (a.shed) extra += " shed=" + std::to_string(r.frames_shed);
+      if (a.pace) {
+        // The one lateness rule, as the simulate: line reports it.
+        char late[64];
+        std::snprintf(late, sizeof late, " late=%ld max-lag=%.2fus",
+                      r.delayed_releases, r.max_release_lag_seconds * 1e6);
+        extra += late;
+      }
       std::printf("run: completed=%s wall=%.1fms firings=%ld%s\n",
                   r.completed ? "yes" : "no", r.wall_seconds * 1e3,
                   r.total_firings, extra.c_str());

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -26,6 +27,10 @@
 #include "runtime/runtime.h"
 #include "sim/simulator.h"
 #include "test_util.h"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace bpp {
 namespace {
@@ -638,9 +643,17 @@ TEST(Machine, PacedReleaseDueWhileCoreStaysBusy) {
                      paced_opt, machine);
 
   busy.start();
-  paced.start();
+  // start() returns with the busy program seeded, but a worker that parked
+  // while seeding was under way may not have run since. Its park would be
+  // reported to the paced program if that attached first, so wait for the
+  // worker to fire again.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const long seeded = busy.firings();
+  while (busy.firings() == seeded &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  paced.start();
   while (!paced.done() && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // The premise: the core was busy for the paced program's whole run.
@@ -732,6 +745,172 @@ TEST(Machine, FiringCountPolledMidRunIsMonotoneAndExact) {
   long sum = 0;
   for (const long f : r.kernel_firings) sum += f;
   EXPECT_EQ(sum, r.total_firings);
+}
+
+// Drives a Machine directly: processing kernel 0 arms a release `lead`
+// seconds ahead on its core; processing kernel 1 records when it ran.
+// fire_due_sources records when the release came due.
+class ReleaseProbe final : public rt::Program {
+ public:
+  ReleaseProbe(rt::Machine& m, double lead)
+      : Program(m.cores()), machine_(m), lead_(lead) {}
+
+  void process(KernelId k, int core) override {
+    if (k == 0) {
+      const double due = machine_.now() + lead_;
+      machine_.arm_release(core, due);
+      due_at.store(due);
+    } else {
+      ran_before_release.store(fired_at.load() < 0.0);
+      ran_at.store(machine_.now());
+    }
+  }
+  double fire_due_sources(int /*core*/, double now_seconds) override {
+    if (fired_at.load() < 0.0) fired_at.store(now_seconds);
+    return -1.0;
+  }
+
+  /// Queue kernel `k` on core 0 from a non-worker thread.
+  void push(rt::ReadyNode& n, KernelId k) {
+    n.program = this;
+    n.kernel = k;
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    machine_.enqueue(&n, 0, -1);
+  }
+
+  std::atomic<double> due_at{-1.0}, fired_at{-1.0}, ran_at{-1.0};
+  std::atomic<bool> ran_before_release{false};
+
+ private:
+  rt::Machine& machine_;
+  double lead_;
+};
+
+bool wait_for(const std::function<bool()>& cond) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// wait_for without the sleep, for waits that must not overshoot.
+bool spin_until(const std::function<bool()>& cond) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cond())
+    if (std::chrono::steady_clock::now() > deadline) return false;
+  return true;
+}
+
+/// CPUs this process may run on (its affinity mask, not the host's).
+int usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+double process_cpu_seconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+// A worker polls only the last microseconds before an armed release: a
+// release 50 ms away is a timed wait, so the process burns almost no CPU
+// over it, and the release still comes due no earlier than armed.
+TEST(Machine, DistantReleaseBurnsNoCpu) {
+  constexpr double kLead = 0.05;
+  rt::Machine machine(1);
+  ReleaseProbe p(machine, kLead);
+  machine.attach(&p, {0});
+  rt::ReadyNode arm;
+  const double cpu0 = process_cpu_seconds();
+  p.push(arm, 0);
+  ASSERT_TRUE(wait_for([&] { return p.fired_at.load() >= 0.0; }));
+  const double cpu = process_cpu_seconds() - cpu0;
+  EXPECT_GE(p.fired_at.load(), p.due_at.load() - 1e-9);
+  EXPECT_LT(cpu, 0.1 * kLead) << "CPU seconds over a " << kLead
+                              << " s wait for a release";
+  p.quiesce();
+  machine.detach(&p);
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kThreadSanitizer = true;
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+// A worker polling toward a release still runs the nodes other threads
+// queue on its core meanwhile. Each trial arms a release inside a fresh
+// worker's initial wake margin, so the worker polls at once instead of
+// sleeping, and pushes a node a few microseconds before the release. The
+// polling worker is no sleeper, so the push sends no notify: only its own
+// pops can find the node before the release. A trial counts when the
+// push completed well before the release; a preempted worker can still
+// lose one, so most counted trials, not all, must run the node first.
+// ThreadSanitizer slows a push past the window: there the trials still
+// race pushes against the poll, but their timing is not checked.
+TEST(Machine, QueuedWorkRunsWhileWaitingForARelease) {
+  if (usable_cpus() < 2)
+    GTEST_SKIP() << "needs a CPU for the pushing thread beside the worker";
+  constexpr int kTrials = 16;
+  const int attempts = kThreadSanitizer ? kTrials : 20 * kTrials;
+  const double lead = 0.9 * rt::WakeMargin().seconds();
+  int counted = 0, first = 0;
+  for (int attempt = 0; attempt < attempts && counted < kTrials; ++attempt) {
+    rt::Machine machine(1);
+    ReleaseProbe p(machine, lead);
+    machine.attach(&p, {0});
+    rt::ReadyNode arm, work;
+    p.push(arm, 0);
+    double due = -1.0;
+    ASSERT_TRUE(spin_until([&] { return (due = p.due_at.load()) >= 0.0; }))
+        << "the worker never armed the release";
+    ASSERT_TRUE(spin_until([&] { return machine.now() >= due - lead / 2; }));
+    p.push(work, 1);
+    const bool in_time = machine.now() < due - lead / 4;
+    ASSERT_TRUE(wait_for(
+        [&] { return p.ran_at.load() >= 0.0 && p.fired_at.load() >= 0.0; }))
+        << "attempt " << attempt;
+    if (in_time) {
+      ++counted;
+      if (p.ran_before_release.load()) ++first;
+    }
+    p.quiesce();
+    machine.detach(&p);
+  }
+  if (kThreadSanitizer) return;
+  ASSERT_EQ(counted, kTrials) << "too few pushes landed before the release";
+  EXPECT_GE(first, kTrials * 3 / 4) << first << " of " << kTrials
+                                    << " nodes ran before the release";
+}
+
+// The wake margin starts bounded, follows the observed lateness, and
+// caps an outlier (a preempted wake).
+TEST(Machine, WakeMarginFollowsLatenessAndClampsOutliers) {
+  rt::WakeMargin m;
+  EXPECT_GT(m.seconds(), 0.0);
+  EXPECT_LE(m.seconds(), rt::WakeMargin::kMaxSeconds);
+  for (int i = 0; i < 200; ++i) m.observe(6e-6);
+  EXPECT_NEAR(m.seconds(), 6e-6, 1e-9);
+  m.observe(0.02);
+  EXPECT_LE(m.seconds(), 6e-6 + rt::WakeMargin::kMaxSeconds / 8 + 1e-12);
+  for (int i = 0; i < 200; ++i) m.observe(0.02);
+  EXPECT_LE(m.seconds(), rt::WakeMargin::kMaxSeconds);
+  for (int i = 0; i < 200; ++i) m.observe(-1e-3);
+  EXPECT_GE(m.seconds(), 0.0);
+  EXPECT_LT(m.seconds(), 1e-9);
 }
 
 }  // namespace
