@@ -22,12 +22,6 @@ int main() {
   bench::print_header("Deadline margin",
                       "edge-detect latency/misses/bottleneck vs input rate");
 
-  if (!obs::kCompiledIn) {
-    std::printf("observability compiled out (-DBPP_OBS=OFF); nothing to "
-                "measure\n");
-    return 0;
-  }
-
   const Size2 frame{48, 36};
   const int frames = 5;
   std::printf("\n%-8s %10s %10s %10s %7s  %s\n", "rate", "lat p50", "lat p95",

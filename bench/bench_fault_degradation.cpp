@@ -43,12 +43,6 @@ int main() {
   bench::print_header("Fault degradation",
                       "edge-detect misses/shedding vs injected overload");
 
-  if (!obs::kCompiledIn) {
-    std::printf("observability compiled out (-DBPP_OBS=OFF); nothing to "
-                "measure\n");
-    return 0;
-  }
-
   const Size2 frame{48, 36};
   const int frames = 6;
   const double rate = 180.0;

@@ -19,9 +19,8 @@
 //
 // Misses feed counters/gauges in a MetricsRegistry and optionally invoke a
 // user callback — the hook a graceful-degradation policy would attach to.
-// The monitor is plain analysis code and always links; what -DBPP_OBS=OFF
-// compiles out are the engines' frame-boundary instrumentation sites, so
-// in that build the monitor never sees a frame to classify.
+// It classifies the frame boundaries an engine records, so it sees frames
+// only from a run given a recorder.
 
 #include <cstdint>
 #include <functional>

@@ -9,26 +9,16 @@
 // per-core utilization breakdown, exportable as Chrome trace-event JSON
 // (loadable in Perfetto / chrome://tracing).
 //
-// Compile-out gate: building with -DBPP_OBS_ENABLED=0 turns every engine
-// instrumentation site into dead code (the `obs::kCompiledIn &&` operand
-// folds to false); with it on, the disabled-at-runtime cost is a single
-// branch on a null recorder/ring pointer.
+// Observability is always compiled in; an engine records only when given a
+// recorder, so the cost with none is one branch on a null recorder/ring
+// pointer per instrumentation site.
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#ifndef BPP_OBS_ENABLED
-#define BPP_OBS_ENABLED 1
-#endif
-
 namespace bpp::obs {
-
-/// False when observability is compiled out (-DBPP_OBS_ENABLED=0); engine
-/// record sites are `if (obs::kCompiledIn && ring) ...` so the whole site
-/// constant-folds away in that build.
-inline constexpr bool kCompiledIn = BPP_OBS_ENABLED != 0;
 
 /// Which clock the event timestamps live on.
 enum class TraceClock : std::uint8_t {
@@ -93,9 +83,9 @@ struct TraceEvent {
   EventKind kind = EventKind::kFiring;
 };
 
-// Record builders for the shapes both engines emit. Each site stays
-// `if (obs::kCompiledIn && ring) ring->emit(obs::...(...))`, so the builder
-// call folds away with the site when observability is compiled out.
+// Record builders for the shapes both engines emit. Each site is
+// `if (ring) ring->emit(obs::...(...))`, so the builder runs only when
+// tracing.
 
 /// kFiring span; `run`/`read`/`write` fill aux0..2 (see kFiring).
 inline TraceEvent firing_span(double t0, double t1, std::int32_t kernel,

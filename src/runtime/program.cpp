@@ -188,7 +188,7 @@ struct GraphProgram::Impl final : rt::Program {
   // ---- machine-facing interface -----------------------------------------
 
   void start() {
-    if (obs::kCompiledIn && opt_.recorder) {
+    if (opt_.recorder) {
       rec_ = opt_.recorder;
       std::vector<std::string> names;
       names.reserve(static_cast<size_t>(g_.kernel_count()));
@@ -266,7 +266,7 @@ struct GraphProgram::Impl final : rt::Program {
       const FireDecision& d = w.decision;
       if (!d.fires()) return;  // idle; the next push re-arms us
 
-      const bool rec = obs::kCompiledIn && w.ring != nullptr;
+      const bool rec = w.ring != nullptr;
       const double t_begin = rec ? elapsed() : 0.0;
 
       // Fault injection, keyed on the kernel's firing index — w.fired[k]
@@ -382,9 +382,13 @@ struct GraphProgram::Impl final : rt::Program {
 
   void record_park(int core, double t0_machine, double t1_machine) override {
     CoreState& w = state_[static_cast<size_t>(core)];
-    if (obs::kCompiledIn && w.ring)
-      w.ring->emit({.t0 = t0_machine - t0_off_, .t1 = t1_machine - t0_off_,
-                    .core = core, .kind = obs::EventKind::kPark});
+    // A worker may have parked before start(): the program's share of the
+    // park begins at its time 0.
+    const double t0 = std::max(t0_machine, t0_off_);
+    if (w.ring)
+      w.ring->emit({.t0 = t0 - t0_off_,
+                    .t1 = std::max(t1_machine, t0) - t0_off_, .core = core,
+                    .kind = obs::EventKind::kPark});
   }
 
   // ---- internals ---------------------------------------------------------
@@ -453,7 +457,7 @@ struct GraphProgram::Impl final : rt::Program {
       if (!ok)
         throw ExecutionError("runtime: push on full channel (scheduler bug)");
       ch.ring.update_peak(ch.high_water);
-      if (obs::kCompiledIn && w.ring)
+      if (w.ring)
         w.ring->emit(obs::channel_sample(
             obs::EventKind::kChannelPush, elapsed(), outs[i], core,
             static_cast<int>(ch.ring.size_approx())));
@@ -470,7 +474,7 @@ struct GraphProgram::Impl final : rt::Program {
   bool drain(KernelId k, int core, CoreState& w) {
     KernelPorts& ports = ports_[static_cast<size_t>(k)];
     if (ports.pending.empty()) return true;
-    const bool rec = obs::kCompiledIn && w.ring != nullptr;
+    const bool rec = w.ring != nullptr;
     const double t_begin = rec ? elapsed() : 0.0;
     bool moved = false;
     const bool all = drain_pending(
@@ -517,7 +521,7 @@ struct GraphProgram::Impl final : rt::Program {
     auto& next = src_next_[static_cast<size_t>(k)];
     FrameCursor& frame = src_frame_[static_cast<size_t>(k)];
     char& dropping = src_dropping_[static_cast<size_t>(k)];
-    const bool rec = obs::kCompiledIn && w.ring != nullptr;
+    const bool rec = w.ring != nullptr;
     const bool sheddable = ctrl_ != nullptr && k == shed_source_;
     while (!quiesced()) {
       if (next.has_value()) {
@@ -675,7 +679,7 @@ struct GraphProgram::Impl final : rt::Program {
       if (channels_[c])
         res.channel_high_water[c] = static_cast<long>(channels_[c]->high_water);
 
-    if (obs::kCompiledIn && rec_) {
+    if (rec_) {
       rec_->finish_session(res.wall_seconds);
       obs::MetricsRegistry& m = rec_->metrics();
       m.gauge("runtime.wall_seconds").set(res.wall_seconds);
@@ -803,7 +807,7 @@ long GraphProgram::frames_shed() const {
 }
 
 void GraphProgram::poll_recorder() {
-  if (obs::kCompiledIn && impl_->rec_ && impl_->started_ && !impl_->finished_)
+  if (impl_->rec_ && impl_->started_ && !impl_->finished_)
     impl_->rec_->poll();
 }
 

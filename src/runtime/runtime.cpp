@@ -56,7 +56,7 @@ RuntimeResult run_threaded(Graph& g, const Mapping& mapping,
     const auto window =
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(options.watchdog_seconds));
-    const bool polling = obs::kCompiledIn && options.recorder != nullptr;
+    const bool polling = options.recorder != nullptr;
     std::unique_lock<std::mutex> lk(mu);
     while (!done) {
       const auto deadline = last_change + window;

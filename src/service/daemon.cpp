@@ -429,7 +429,7 @@ struct Daemon::Impl {
           have_slack = true;
         }
       }
-      if (obs::kCompiledIn && t.recorder) {
+      if (t.recorder) {
         const obs::FrameReport fr = obs::analyze_frames(t.recorder->trace());
         lat_p50 = fr.latency.p50;
         lat_p95 = fr.latency.p95;

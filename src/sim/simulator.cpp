@@ -155,7 +155,7 @@ class Sim {
     }
     res_.kernel_activity.assign(static_cast<size_t>(n), {0L, 0.0});
 
-    if (obs::kCompiledIn && opt.recorder) {
+    if (opt.recorder) {
       rec_ = opt.recorder;
       std::vector<std::string> names;
       names.reserve(static_cast<size_t>(n));
@@ -199,7 +199,7 @@ class Sim {
       // Keep the recorder's ring drained so sessions longer than its
       // capacity keep every event (single-threaded: we are both the
       // producer and the collector).
-      if (obs::kCompiledIn && ring_) rec_->poll();
+      if (ring_) rec_->poll();
 
       bool acted = true;
       while (acted) {
@@ -374,7 +374,7 @@ class Sim {
     else
       wake_.push(Wake{avail, Wake::Kind::kDelivery, s.id});
     // Input releases happen off-core (the "sources" track).
-    if (obs::kCompiledIn && ring_) {
+    if (ring_) {
       ring_->emit(obs::source_release(now, s.id, -1, lag, late));
       if (opens_frame)
         ring_->emit(obs::frame_instant(obs::EventKind::kFrameStart, now,
@@ -386,7 +386,7 @@ class Sim {
 
   /// Channel occupancy sample after a push.
   void record_push(ChannelId c, double now) {
-    if (!obs::kCompiledIn || !ring_) return;
+    if (!ring_) return;
     const auto occ =
         static_cast<long>(channels_[static_cast<size_t>(c)].q.size());
     if (occ > chan_hw_[static_cast<size_t>(c)])
@@ -399,7 +399,7 @@ class Sim {
   void record_fault(KernelId k, int core, double now,
                     const fault::Perturbation& p) {
     ++res_.faults_injected;
-    if (obs::kCompiledIn && ring_)
+    if (ring_)
       ring_->emit(obs::fault_instant(now, k, core, p.time_scale, p.stall_seconds,
                                      p.delivery_delay_seconds));
   }
@@ -450,7 +450,7 @@ class Sim {
           retime_recent(k, now + dur);
           publish(core, k, now, now + dur, false);
           stats.write_cycles += cycles;
-          if (obs::kCompiledIn && ring_)
+          if (ring_)
             ring_->emit(obs::write_span(now, now + dur, k, c, cycles));
           core.rr = (idx + 1) % n;
           last_action_ = std::max(last_action_, now + dur);
@@ -489,7 +489,7 @@ class Sim {
         read_words += cs.q.front().charge;
         popped_.push_back(std::move(cs.q.front().item));
         cs.q.pop_front();
-        if (obs::kCompiledIn && ring_)
+        if (ring_)
           ring_->emit(obs::channel_sample(obs::EventKind::kChannelPop, now, ch,
                                           c, cs.q.size()));
         if (!kstate_[static_cast<size_t>(cs.producer)].ports.pending.empty())
@@ -550,12 +550,12 @@ class Sim {
         scan_sink_tokens(popped_, [&](std::int64_t frame) {
           res_.sink_frame_times[static_cast<size_t>(st.sink_index)]
               .second.push_back(now + dur);
-          if (obs::kCompiledIn && ring_)
+          if (ring_)
             ring_->emit(obs::frame_instant(obs::EventKind::kFrameEnd,
                                            now + dur, k, c, frame));
         });
       popped_.clear();
-      if (obs::kCompiledIn && ring_)
+      if (ring_)
         ring_->emit(obs::firing_span(
             now, now + dur, k, c,
             d.kind == FireDecision::Kind::Method ? d.method : -1,
@@ -595,7 +595,7 @@ class Sim {
     }
     res_.realtime_met = res_.completed && res_.delayed_releases == 0;
 
-    if (obs::kCompiledIn && rec_) {
+    if (rec_) {
       rec_->finish_session(res_.sim_seconds);
       obs::MetricsRegistry& m = rec_->metrics();
       m.gauge("sim.seconds").set(res_.sim_seconds);

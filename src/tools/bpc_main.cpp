@@ -136,10 +136,6 @@ void write_analysis(const cli::Args& a, const CompiledApp& app,
                     obs::Recorder& rec, double slowdown = 1.0,
                     const fault::DegradationReport* deg = nullptr) {
   if (a.analyze_path.empty()) return;
-  if (!obs::kCompiledIn)
-    throw Error(
-        "--analyze requires the observability layer; rebuild with "
-        "-DBPP_OBS=ON");
   const obs::Trace& trace = rec.trace();
   const obs::FrameReport frames = obs::analyze_frames(trace);
 
@@ -318,8 +314,7 @@ int main(int argc, char** argv) {
         sim_period = r.steady_frame_period();
         sim_util = r.avg_utilization(opt.machine);
       }
-      if (obs::kCompiledIn)
-        write_utilization(obs::analyze_utilization(rec.trace()), std::cout);
+      write_utilization(obs::analyze_utilization(rec.trace()), std::cout);
       if (a.show_kernels) {
         std::vector<std::pair<double, KernelId>> busiest;
         for (KernelId k = 0; k < g.kernel_count(); ++k)
@@ -345,8 +340,7 @@ int main(int argc, char** argv) {
                     (f.t1 - f.t0) * 1e6);
       fault::DegradationReport deg;
       bool have_deg = false;
-      if (obs::kCompiledIn && sim_owns_degradation &&
-          (inj || !a.degradation_path.empty())) {
+      if (sim_owns_degradation && (inj || !a.degradation_path.empty())) {
         deg = make_degradation_report(a, app, &rec, 1.0, nullptr);
         have_deg = true;
       }
@@ -364,8 +358,7 @@ int main(int argc, char** argv) {
                         !a.analyze_path.empty() || !a.degradation_path.empty());
       // The comparison table's measured column needs the host run's frame
       // cadence, which only the recorder sees.
-      const bool observe_for_predict =
-          pred.has_value() && obs::kCompiledIn && !observe;
+      const bool observe_for_predict = pred.has_value() && !observe;
       const double slowdown = a.pace ? a.pace_slowdown : 1.0;
       RuntimeOptions ropt;
       ropt.pace_inputs = a.pace;
@@ -415,8 +408,7 @@ int main(int argc, char** argv) {
         have_deg = true;
       }
       if (observe) {
-        if (obs::kCompiledIn)
-          write_utilization(obs::analyze_utilization(rec.trace()), std::cout);
+        write_utilization(obs::analyze_utilization(rec.trace()), std::cout);
         write_analysis(a, app, rec, slowdown, have_deg ? &deg : nullptr);
         write_obs_outputs(a, rec);
       }

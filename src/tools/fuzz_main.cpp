@@ -95,7 +95,7 @@ struct SimFingerprint {
 };
 
 SimFingerprint simulate_once(const CompiledApp& app,
-                             const fault::Injector* inj, double rate) {
+                             const fault::Injector* inj) {
   Graph g = app.graph.clone();
   obs::Recorder rec;
   SimOptions sopt;
@@ -109,10 +109,11 @@ SimFingerprint simulate_once(const CompiledApp& app,
   obs::write_chrome_trace(rec.trace(), ts);
   fp.trace_json = ts.str();
   const obs::FrameReport frames = obs::analyze_frames(rec.trace());
-  obs::DeadlineMonitor mon({rate, 0.0});
+  const obs::DeadlineOptions dopt = declared_schedule(app, 1.0);
+  obs::DeadlineMonitor mon(dopt);
   mon.observe(frames);
   fp.degradation_json = fault::write_degradation_json(
-      fault::build_degradation_report(mon.verdicts(), {}, rate, 0.0));
+      fault::build_degradation_report(mon.verdicts(), {}, dopt.rate_hz, 0.0));
   return fp;
 }
 
@@ -411,8 +412,8 @@ int main(int argc, char** argv) {
     const fault::Injector* injp = faulted ? &inj : nullptr;
 
     // 1. Replay determinism on the simulator.
-    const SimFingerprint fa = simulate_once(app, injp, rate);
-    const SimFingerprint fb = simulate_once(app, injp, rate);
+    const SimFingerprint fa = simulate_once(app, injp);
+    const SimFingerprint fb = simulate_once(app, injp);
     if (fa.trace_json != fb.trace_json)
       return fail("simulator trace differs between identical runs");
     if (fa.degradation_json != fb.degradation_json)
@@ -423,10 +424,10 @@ int main(int argc, char** argv) {
     // 2. Host run vs the composed scalar reference.
     obs::Recorder rec;
     RuntimeOptions ropt;
-    ropt.recorder = obs::kCompiledIn ? &rec : nullptr;
+    ropt.recorder = &rec;
     ropt.injector = injp;
     const RuntimeResult r = run_threaded(app.graph, app.mapping, ropt);
-    if (!trace_path.empty() && obs::kCompiledIn) {
+    if (!trace_path.empty()) {
       std::ofstream f(trace_path);
       obs::write_chrome_trace(rec.trace(), f);
       std::printf("wrote %s\n", trace_path.c_str());

@@ -247,7 +247,6 @@ SimRun simulate_app(const CompiledApp& app, const fault::Injector* inj) {
 }
 
 TEST(SimFaults, SameSeedIdenticalTraceDifferentSeedNot) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   CompiledApp app = compile(apps::pipeline_app({16, 12}, 100.0, 2));
   fault::FaultPlan p = fault::parse_plan(
       "{\"seed\": 7, \"kernels\": [{\"jitter\": 0.4, "

@@ -481,7 +481,6 @@ TEST(ObsEndToEnd, SimulatorTraceMatchesCycleAccounting) {
   opt.recorder = &rec;
   const SimResult r = simulate(g, app.mapping, opt);
   ASSERT_TRUE(r.completed) << r.diagnostics;
-  if (!obs::kCompiledIn) return;  // the rest reads the trace
 
   const Trace& t = rec.trace();
   EXPECT_EQ(t.clock, TraceClock::kModeled);
@@ -661,7 +660,6 @@ TEST(CriticalPath, AttributesSimulatedFrameLatency) {
   SimOptions opt;
   opt.recorder = &rec;
   ASSERT_TRUE(simulate(g, app.mapping, opt).completed);
-  if (!obs::kCompiledIn) return;  // the rest reads the trace
 
   const obs::FrameReport frames = obs::analyze_frames(rec.trace());
   ASSERT_EQ(frames.frames.size(), 3u);
@@ -703,7 +701,6 @@ TEST(RateValidation, SimulatedRatesMatchCompiledLoads) {
   SimOptions opt;
   opt.recorder = &rec;
   ASSERT_TRUE(simulate(g, app.mapping, opt).completed);
-  if (!obs::kCompiledIn) return;  // the rest reads the trace
 
   const RateValidation v = validate_rates(app, rec.trace());
   ASSERT_FALSE(v.rows.empty());

@@ -698,7 +698,6 @@ CompiledApp compile_as_bpc(const char* name, double rate, int frames) {
 }
 
 TEST(NoFalseMiss, NamedAppsAtBpcDefaults) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   // motion is left out: its first frame skips the search and completes
   // early, so the anchored schedule runs ahead of the later frames.
   for (const char* name :
@@ -714,7 +713,6 @@ TEST(NoFalseMiss, NamedAppsAtBpcDefaults) {
 }
 
 TEST(NoFalseMiss, Fig13Suite) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   for (const SuiteCase& c : kFig13Suite) {
     SCOPED_TRACE(c.name);
     EXPECT_EQ(simulated_misses(compile(c.build())), 0);
@@ -722,7 +720,6 @@ TEST(NoFalseMiss, Fig13Suite) {
 }
 
 TEST(NoFalseMiss, RandomChains) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   for (int seed = 0; seed < 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::uint64_t rng = 0xC0FFEE ^ (static_cast<std::uint64_t>(seed) << 20);
@@ -746,7 +743,6 @@ TEST(NoFalseMiss, RandomChains) {
 }
 
 TEST(NoFalseMiss, RunsThatFallBehindStillMiss) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   // motion at 180 Hz really drifts (predicted utilization 1.19).
   EXPECT_GE(simulated_misses(compile_as_bpc("motion", 180.0, 8)), 7);
   // fig1 compiled for its machine but run on one 50x slower.
@@ -762,7 +758,6 @@ TEST(PredictRuntime, PacedHostRunTracksPredictedPeriod) {
   // 25% runtime tolerance (DESIGN.md §7): scheduler jitter and the
   // recorder make host wall-clock cadence far noisier than the simulator.
   constexpr double kRunTolerance = 0.25;
-  if (!obs::kCompiledIn) GTEST_SKIP() << "needs the observability layer";
   CompileOptions opt;
   CompiledApp app = compile(
       make_chain({24, 20}, 50.0, 6, {StageKind::Scale, StageKind::Sobel}),

@@ -219,7 +219,6 @@ TEST(Runtime, SingleCoreHighWaterIsExact) {
   // peak (capacity 8 shows it; at 3 every live ring fills). Each traced push carries the occupancy read fresh after that
   // push, so the per-channel maximum of the samples is the peak the lazy
   // mark must equal.
-  if (!obs::kCompiledIn) return;
   CompiledApp app = compile(apps::figure1_app({16, 12}, 180.0, 2, 8));
   Graph g = app.graph.clone();
   obs::Recorder rec;
@@ -247,7 +246,6 @@ TEST(Runtime, RecorderCapturesWallClockTrace) {
   opt.recorder = &rec;
   const RuntimeResult r = run_threaded(app.graph, app.mapping, opt);
   ASSERT_TRUE(r.completed) << r.diagnostics;
-  if (!obs::kCompiledIn) return;  // the rest reads the trace and metrics
 
   const obs::Trace& t = rec.trace();
   EXPECT_EQ(t.clock, obs::TraceClock::kWall);
@@ -333,7 +331,6 @@ TEST(Runtime, PacedReleaseLateFlagsFollowTheOneRule) {
   // firing behind one-item channels holds the source back past it, so
   // releases run late. The counter equals the trace's late flags, and each
   // flag is set exactly when the release's lag exceeds the tolerance.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   CompiledApp app = compile(apps::histogram_app({12, 8}, 100.0, 2, 8));
   fault::FaultPlan plan;
   fault::KernelRule stall;
@@ -402,7 +399,6 @@ TEST(Runtime, PacedRunReportsFiringsHighWaterAndObsGauges) {
       EXPECT_EQ(hw, -1) << "channel " << c;
     }
   }
-  if (!obs::kCompiledIn) return;  // the rest reads the trace and metrics
 
   obs::MetricsRegistry& m = rec.metrics();
   EXPECT_EQ(m.counter("runtime.delayed_releases").value(),
@@ -666,12 +662,41 @@ TEST(Machine, PacedReleaseDueWhileCoreStaysBusy) {
   EXPECT_LT(r.max_release_lag_seconds, 0.1)
       << r.delayed_releases << " delayed releases";
   EXPECT_TRUE(busy_throughout) << "the unpaced program finished first";
-  if (!obs::kCompiledIn) return;
   EXPECT_EQ(rec.metrics().counter("trace.frames").value(), frames);
   long parks = 0;
   for (const obs::TraceEvent& e : rec.trace().events)
     if (e.kind == obs::EventKind::kPark) ++parks;
   EXPECT_EQ(parks, 0) << "the worker parked during the paced run";
+}
+
+// A worker parked before a program starts reports that park to the
+// program when start() wakes it; the program's trace holds only the part
+// after its own time 0.
+TEST(Machine, ParkBeforeStartIsClippedToTheProgramStart) {
+  rt::Machine machine(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // it parks
+  CompiledApp app = compile(apps::histogram_app({16, 12}, 100.0, 2, 8));
+  Graph g = app.graph.clone();
+  obs::Recorder rec;
+  RuntimeOptions opt;
+  opt.recorder = &rec;
+  GraphProgram p(g, pool_mapping(g, [](KernelId) { return 0; }, 1), opt,
+                 machine);
+  p.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!p.done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const RuntimeResult r = p.finish();
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  long parks = 0;
+  for (const obs::TraceEvent& e : rec.trace().events) {
+    if (e.kind != obs::EventKind::kPark) continue;
+    ++parks;
+    EXPECT_GE(e.t0, 0.0) << "park " << parks;
+    EXPECT_GE(e.t1, e.t0) << "park " << parks;
+  }
+  EXPECT_GT(parks, 0) << "the wakeup by start() recorded no park";
 }
 
 // Lost-wakeup stress for the eventcount: a chain whose every edge crosses

@@ -229,7 +229,6 @@ SimResult simulate_recorded(Graph& g, const Mapping& m, obs::Recorder& rec) {
 
 TEST(Simulator, FirstFiringsFormAChronologicalTimeline) {
   // `bpc --firings N` prints obs::first_firings of the simulator's trace.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Graph g = apps::histogram_app({8, 6}, 50.0, 1);
   obs::Recorder rec;
   ASSERT_TRUE(simulate_recorded(g, map_one_to_one(g), rec).completed);
@@ -251,7 +250,6 @@ TEST(Simulator, FirstFiringsFormAChronologicalTimeline) {
 TEST(Simulator, FirstFiringsIndependentOfRingCapacity) {
   // The simulator drains the recorder at every wake, so a ring far smaller
   // than the run still yields the same first firings as the default ring.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Graph a = apps::histogram_app({8, 6}, 50.0, 1);
   const Mapping m = map_one_to_one(a);
   obs::Recorder full;
@@ -279,7 +277,6 @@ TEST(Simulator, FirstFiringsIndependentOfRingCapacity) {
 }
 
 TEST(Simulator, FirstFiringsLargerThanRunKeepsEverything) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Graph g = apps::histogram_app({8, 6}, 50.0, 1);
   obs::Recorder rec;
   const SimResult r = simulate_recorded(g, map_one_to_one(g), rec);
@@ -292,7 +289,6 @@ TEST(Simulator, FewFireDecisionsPerFiring) {
   // The event-driven loop retries a kernel only when something it reads
   // changed; a sweep over every idle core costs ~19 decisions per firing
   // on this app.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   CompiledApp app = compile(apps::figure1_app({48, 36}, 180.0, 2, 64));
   obs::Recorder rec;
   SimOptions opt;
@@ -440,8 +436,6 @@ TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
     const std::uint64_t digests[] = {g.plain, g.recorded, g.faulted,
                                      g.congested};
     for (size_t m = 0; m < 4; ++m) {
-      // Every mode but kPlain digests the trace.
-      if (m > 0 && !obs::kCompiledIn) continue;
       const DigestRun run = sim_digest(g.app, static_cast<DigestMode>(m));
       EXPECT_EQ(run.digest, digests[m]) << "mode " << m;
       EXPECT_EQ(run.delayed_releases, g.late[m]) << "mode " << m;
@@ -492,7 +486,6 @@ TEST(Simulator, RealtimeVerdictMatchesItsTrace) {
   // every event, and it meets real time exactly when it completed with no
   // late release, and its counter counts those flags. parallel-buffer is
   // the one that misses (806 late releases, 81.6 us of lag).
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const cli::Args bpc;
   std::vector<std::string> violated;
   for (const char* name :
