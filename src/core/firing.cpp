@@ -25,6 +25,14 @@ bool all_heads(const std::vector<int>& ports, const std::vector<int>& connected,
   return true;
 }
 
+/// True for a method that reads parameter (replicated) inputs alone.
+bool loads_parameter(const Kernel& k, const MethodDef& def) {
+  return !def.inputs.empty() &&
+         std::ranges::all_of(def.inputs, [&](int p) {
+           return k.input(p).spec.replicated;
+         });
+}
+
 }  // namespace
 
 void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
@@ -36,16 +44,20 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
   out.pop_inputs.clear();
   out.forward_outputs.clear();
 
-  if (auto custom = k.decide_custom(connected, head)) {
-    out = *custom;
-    return;
+  // The parameter rule: while it is pending, try only its load methods.
+  const bool awaiting = k.awaiting_parameter();
+  if (!awaiting) {
+    if (auto custom = k.decide_custom(connected, head)) {
+      out = *custom;
+      return;
+    }
   }
 
   // 1. Method triggers, in registration order.
   const auto& methods = k.methods();
   for (size_t m = 0; m < methods.size(); ++m) {
     const MethodDef& def = methods[m];
-    if (def.inputs.empty()) continue;
+    if (def.inputs.empty() || (awaiting && !loads_parameter(k, def))) continue;
     bool ready;
     if (def.token_triggered()) {
       ready = all_heads(def.inputs, connected, head, [&](const Item& it) {
@@ -66,6 +78,7 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
       return;
     }
   }
+  if (awaiting) return;
 
   // 2. Automatic forwarding of unhandled tokens, grouped by the data method
   //    each input feeds (§II-C). Inputs feeding no data method form
@@ -132,6 +145,13 @@ KernelPorts wire_kernel(Graph& g, KernelId k) {
   p.outs = g.out_channels(k);
   p.is_sink = !kn.is_source() && p.outs.empty();
   kn.init();
+  kn.set_awaiting_parameter(
+      std::ranges::any_of(kn.methods(), [&](const MethodDef& def) {
+        return loads_parameter(kn, def) &&
+               std::ranges::all_of(def.inputs, [&](int i) {
+                 return p.in_channel[static_cast<size_t>(i)] >= 0;
+               });
+      }));
   for (Emission& e : kn.initial_emissions()) p.pending.push_back(std::move(e));
   return p;
 }
@@ -143,9 +163,12 @@ long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
     ctx.bind_input(d.pop_inputs[i], &popped[i]);
   long run_cycles = 2;
   if (d.kind == FireDecision::Kind::Method) {
+    const MethodDef& def = k.methods()[static_cast<size_t>(d.method)];
     if (d.token >= 0) ctx.set_trigger_token(d.token, d.payload);
     k.invoke(d.method, ctx);
-    run_cycles = k.methods()[static_cast<size_t>(d.method)].res.cycles;
+    if (k.awaiting_parameter() && loads_parameter(k, def))
+      k.set_awaiting_parameter(false);
+    run_cycles = def.res.cycles;
   } else {
     for (int o : d.forward_outputs)
       ctx.emit(o, ControlToken{d.token, d.payload});

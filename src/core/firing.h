@@ -10,7 +10,10 @@
 //  * a control token no method handles is forwarded, in order, to the
 //    outputs of the data method fed by that input — and when several inputs
 //    feed one method, the same token class must head all of them before one
-//    copy is forwarded (the subtract-kernel rule).
+//    copy is forwarded (the subtract-kernel rule);
+//  * the parameter rule: until a replicated (parameter) input has loaded
+//    (Kernel::awaiting_parameter), only a method reading parameter inputs
+//    alone may fire, and no other input is read.
 //
 // Kernels with data-dependent consumption (round-robin joins) override
 // Kernel::decide_custom instead.
@@ -110,7 +113,8 @@ struct KernelPorts {
 };
 
 /// Wire kernel `k` of `g`, reset it (init()) and stage its initial
-/// emissions on `pending`.
+/// emissions on `pending`. The kernel awaits its parameter when a method
+/// that reads parameter inputs alone has all of them connected.
 [[nodiscard]] KernelPorts wire_kernel(Graph& g, KernelId k);
 
 /// Fire `k` on decision `d` (Method or Forward): bind `popped`, the items
@@ -118,7 +122,7 @@ struct KernelPorts {
 /// trigger token or forward the token, and move the emissions onto
 /// `pending`. Returns the method's declared run cycles, or 2 for a forward
 /// (the token-forwarding FSM step). `ctx` keeps the firing's dynamic-cycle
-/// report.
+/// report. A parameter-load method ends the kernel's parameter wait.
 long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
           ExecContext& ctx, Fifo<Emission>& pending);
 

@@ -141,7 +141,9 @@ class Kernel {
   /// round-robin and run-length join FSMs, §IV-A) override this to decide
   /// firing themselves. Return nullopt to use the standard rules. `head`
   /// is a borrowed view of the engine's channel heads — valid only for the
-  /// duration of this call, so it must not be stored.
+  /// duration of this call, so it must not be stored. Never return
+  /// nullopt because an input looked empty: on the host a push may land
+  /// before the standard rules read that input again.
   [[nodiscard]] virtual std::optional<FireDecision> decide_custom(
       const std::vector<int>& connected, const HeadFn& head) const {
     (void)connected;
@@ -189,6 +191,11 @@ class Kernel {
 
   /// Execute method `m` against context `ctx` (engine side).
   void invoke(int m, ExecContext& ctx);
+
+  /// Set while a wired parameter input has not loaded (the parameter
+  /// rule, firing.h): wire_kernel sets it, fire() clears it.
+  [[nodiscard]] bool awaiting_parameter() const { return awaiting_parameter_; }
+  void set_awaiting_parameter(bool awaiting) { awaiting_parameter_ = awaiting; }
 
  protected:
   explicit Kernel(std::string name) : name_(std::move(name)) {}
@@ -266,6 +273,7 @@ class Kernel {
   std::vector<OutputPort> outputs_;
   std::deque<MethodDef> methods_;
   bool configured_ = false;
+  bool awaiting_parameter_ = false;
   ExecContext* ctx_ = nullptr;  // valid only during invoke()
 };
 

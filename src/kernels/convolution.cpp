@@ -1,7 +1,5 @@
 #include "kernels/convolution.h"
 
-#include <algorithm>
-
 #include "kernels/simd/simd.h"
 
 namespace bpp {
@@ -38,27 +36,11 @@ void ConvolutionKernel::configure() {
   init();
 }
 
-std::optional<FireDecision> ConvolutionKernel::decide_custom(
-    const std::vector<int>& connected, const HeadFn& head) const {
-  if (loaded_) return std::nullopt;
-  const int ci = input_index("coeff");
-  const bool coeff_connected =
-      std::find(connected.begin(), connected.end(), ci) != connected.end();
-  if (!coeff_connected) return std::nullopt;  // free-running (tests only)
-  const Item* c = head(ci);
-  if (c && is_data(*c)) return std::nullopt;  // loadCoeff fires first anyway
-  const Item* in = head(input_index("in"));
-  if (in && is_data(*in)) return FireDecision{};  // hold data until loaded
-  return std::nullopt;
-}
-
 void ConvolutionKernel::init() {
-  // Until coefficients arrive the kernel behaves as an identity (delta)
-  // filter so that start-up races cannot produce garbage.
+  // Without a wired "coeff" input the kernel is an identity (delta) filter.
   coeff_ = Tile(width_, height_);
   coeff_.at(width_ / 2, height_ / 2) = 1.0;
   flip_coeff();
-  loaded_ = false;
 }
 
 void ConvolutionKernel::flip_coeff() {
@@ -85,7 +67,6 @@ void ConvolutionKernel::run_convolve() {
 void ConvolutionKernel::load_coeff() {
   coeff_ = read_input("coeff");
   flip_coeff();
-  loaded_ = true;
 }
 
 }  // namespace bpp

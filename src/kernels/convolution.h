@@ -4,7 +4,8 @@
 // Two methods: runConvolve fires on each data window; loadCoeff fires when
 // a new coefficient tile arrives on the replicated "coeff" input. The two
 // methods share the kernel-private coefficient array, which is how control
-// (coefficient reload) and data processing communicate.
+// (coefficient reload) and data processing communicate. "coeff" is a
+// parameter input (core/firing.h); unwired, the filter is the identity.
 
 #include <string>
 
@@ -24,13 +25,6 @@ class ConvolutionKernel final : public Kernel {
 
   [[nodiscard]] int kwidth() const { return width_; }
   [[nodiscard]] int kheight() const { return height_; }
-  [[nodiscard]] bool coeff_loaded() const { return loaded_; }
-
-  /// Until the first coefficients arrive, data windows wait: engines may
-  /// deliver the replicated "coeff" stream after the first windows, and
-  /// convolving with the placeholder filter would be wrong.
-  [[nodiscard]] std::optional<FireDecision> decide_custom(
-      const std::vector<int>& connected, const HeadFn& head) const override;
 
   /// Cycle cost of one runConvolve execution (paper Fig. 6 formula).
   [[nodiscard]] static long run_cycles(int w, int h) { return 10 + 3L * w * h; }
@@ -44,7 +38,6 @@ class ConvolutionKernel final : public Kernel {
   int height_;
   Tile coeff_;
   std::vector<double> coeff_flipped_;  ///< contiguous, both axes reversed
-  bool loaded_ = false;
 };
 
 }  // namespace bpp

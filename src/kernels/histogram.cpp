@@ -46,22 +46,7 @@ void HistogramKernel::init() {
   for (int i = 0; i < bins_; ++i)
     uppers_[static_cast<size_t>(i)] = 256.0 * (i + 1) / bins_;
   counts_.assign(static_cast<size_t>(bins_), 0);
-  ranges_loaded_ = false;
   sorted_ = true;  // the default uniform bounds are ascending
-}
-
-std::optional<FireDecision> HistogramKernel::decide_custom(
-    const std::vector<int>& connected, const HeadFn& head) const {
-  if (ranges_loaded_) return std::nullopt;
-  const int bi = input_index("bins");
-  const bool bins_connected =
-      std::find(connected.begin(), connected.end(), bi) != connected.end();
-  if (!bins_connected) return std::nullopt;  // default uniform ranges apply
-  const Item* b = head(bi);
-  if (b && is_data(*b)) return std::nullopt;  // configureBins can fire
-  const Item* in = head(input_index("in"));
-  if (in) return FireDecision{};  // hold data and frame tokens until ranges load
-  return std::nullopt;
 }
 
 Tile HistogramKernel::uniform_bins(int bins, double lo, double hi) {
@@ -106,7 +91,6 @@ void HistogramKernel::configure_bins() {
   // Only the searched bounds matter: the last bin catches the rest.
   sorted_ = std::is_sorted(uppers_.begin(),
                            uppers_.begin() + std::max(bins_ - 1, 0));
-  ranges_loaded_ = true;
 }
 
 HistogramMergeKernel::HistogramMergeKernel(std::string name, int bins)

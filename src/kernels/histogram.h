@@ -5,7 +5,8 @@
 // counts once per frame when the end-of-frame token arrives (method
 // `finishCount`), and reloads bin boundaries from the replicated "bins"
 // input (method `configureBins`). It is data-parallel: replicas build
-// partial histograms.
+// partial histograms. "bins" is a parameter input (core/firing.h);
+// unwired, the bins are uniform over [0, 256).
 //
 // HistogramMergeKernel is the explicitly serial reduction: it accumulates
 // the partial histograms of one frame — `expected()` of them, set by the
@@ -33,11 +34,6 @@ class HistogramKernel final : public Kernel {
   [[nodiscard]] int bins() const { return bins_; }
   [[nodiscard]] const std::vector<double>& bin_uppers() const { return uppers_; }
 
-  /// Hold data until the bin boundaries have arrived on "bins" (same
-  /// start-up race as convolution coefficients).
-  [[nodiscard]] std::optional<FireDecision> decide_custom(
-      const std::vector<int>& connected, const HeadFn& head) const override;
-
   /// Uniform bin boundaries over [lo, hi) packed as a (bins x 1) tile,
   /// suitable as a ConstSource payload for the "bins" input.
   [[nodiscard]] static Tile uniform_bins(int bins, double lo, double hi);
@@ -52,7 +48,6 @@ class HistogramKernel final : public Kernel {
   int bins_;
   std::vector<double> uppers_;  ///< upper (exclusive) bound of each bin
   std::vector<long> counts_;
-  bool ranges_loaded_ = false;
   /// Searched bounds (all but the catch-all last) are non-decreasing, so
   /// count() may use the branchless sorted bin search. True for
   /// uniform_bins; recomputed when configureBins loads custom bounds.

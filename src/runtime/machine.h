@@ -169,6 +169,8 @@ class Program {
   [[nodiscard]] bool quiesced() const {
     return quiesced_.load(std::memory_order_acquire);
   }
+  /// True when none of this program's ready nodes is queued or running.
+  [[nodiscard]] bool drained() const;
 
  private:
   friend class Machine;
@@ -185,7 +187,6 @@ class Program {
   };
   void count_queued(int self_core);
   void count_retired(int core);
-  [[nodiscard]] bool drained() const;
 
   std::atomic<bool> quiesced_{false};
   int cores_;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/error.h"
@@ -649,6 +650,12 @@ struct GraphProgram::Impl final : rt::Program {
   RuntimeResult finish() {
     if (finished_) return result_;
     finished_ = true;
+    // A completed program may still hold a firing no sink waits for (a
+    // replica dropping its parameter's end-of-stream): let it run.
+    if (started_ && done_.load(std::memory_order_acquire) &&
+        !failed_.load(std::memory_order_acquire))
+      while (!drained())
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
     const double wall = started_ ? elapsed() : 0.0;
     quiesce();
     if (started_) machine_.detach(this);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <string>
 
 #include "core/firing.h"
 #include "core/graph.h"
+#include "kernels/convolution.h"
 #include "kernels/elementwise.h"
 #include "kernels/histogram.h"
 #include "test_util.h"
@@ -64,6 +67,56 @@ struct Heads {
                                               : nullptr;
   }
 };
+
+/// A head view whose "in" (port 0) reads empty the first time it is asked
+/// and `pixel` after that, as when a producer's push lands between two
+/// reads of one decision. Every other port is empty.
+struct ArrivingHeads {
+  const Item* pixel;
+  mutable int in_reads = 0;
+  const Item* operator()(int p) const {
+    if (p != 0) return nullptr;
+    return in_reads++ == 0 ? nullptr : pixel;
+  }
+};
+
+/// Wire `k` the way both engines do: its "in" fed by a source and, when
+/// `with_param`, its parameter input `param` by another.
+KernelPorts wire_with_param(Graph& g, Kernel& k, const std::string& param,
+                            bool with_param) {
+  auto& data = g.add<testutil::ScriptedSource>("data", std::vector<Item>{});
+  g.connect(data, "out", k, "in");
+  if (with_param) {
+    auto& p = g.add<testutil::ScriptedSource>("param", std::vector<Item>{});
+    g.connect(p, "out", k, param);
+  }
+  return wire_kernel(g, g.id_of(k));
+}
+
+/// The kernels with a parameter input (Fig. 2's dashed edges): port 0 is
+/// "in", port 1 the parameter, loaded by method `load`; `run` is the
+/// data method.
+struct ParamCase {
+  std::function<Kernel&(Graph&)> add;
+  std::string param, load, run;
+  Item param_item, data_item;
+};
+
+std::vector<ParamCase> param_cases() {
+  return {
+      {[](Graph& g) -> Kernel& { return g.add<HistogramKernel>("k", 8); },
+       "bins", "configureBins", "count",
+       HistogramKernel::uniform_bins(8, 0.0, 8.0), px(3)},
+      {[](Graph& g) -> Kernel& { return g.add<ConvolutionKernel>("k", 3, 3); },
+       "coeff", "loadCoeff", "runConvolve", Tile(Size2{3, 3}, 1.0),
+       Tile(Size2{3, 3}, 2.0)},
+  };
+}
+
+std::string method_of(const Kernel& k, const FireDecision& d) {
+  if (d.kind != FireDecision::Kind::Method) return "<none>";
+  return k.methods()[static_cast<size_t>(d.method)].name;
+}
 
 TEST(Firing, DataMethodFiresWhenAllInputsHaveData) {
   auto sub = make_subtract("sub");
@@ -146,36 +199,133 @@ TEST(Firing, UnhandledTokenOnOutputlessMethodIsDropped) {
 }
 
 TEST(Firing, TokensHeldWhileBinRangesPending) {
-  // With the bins input connected but not yet delivered, even frame
-  // tokens wait: finishing a count with default ranges would be wrong.
-  HistogramKernel hist("hist", 8);
-  hist.ensure_configured();
+  // With the bins input wired but not yet delivered, even frame tokens
+  // wait: finishing a count with default ranges would be wrong.
+  Graph g;
+  auto& hist = g.add<HistogramKernel>("hist", 8);
+  const KernelPorts ports = wire_with_param(g, hist, "bins", true);
   Item eof = token(tok::kEndOfFrame);
   Heads h{{&eof, nullptr}};
-  EXPECT_FALSE(decide_fire(hist, {0, 1}, h).fires());
+  EXPECT_FALSE(decide_fire(hist, ports.connected, h).fires());
 }
 
 TEST(Firing, HistogramHoldsDataUntilBinsConfigured) {
-  HistogramKernel hist("hist", 8);
-  hist.ensure_configured();
   Item d0 = px(10);
-  {  // data present, bins pending: wait.
-    Heads h{{&d0, nullptr}};
-    EXPECT_FALSE(decide_fire(hist, {0, 1}, h).fires());
+  {
+    Graph g;
+    auto& hist = g.add<HistogramKernel>("hist", 8);
+    const KernelPorts ports = wire_with_param(g, hist, "bins", true);
+    {  // data present, bins pending: wait.
+      Heads h{{&d0, nullptr}};
+      EXPECT_FALSE(decide_fire(hist, ports.connected, h).fires());
+    }
+    {  // bins present: configureBins wins.
+      Item bins = Tile(Size2{8, 1}, 1.0);
+      Heads h{{&d0, &bins}};
+      EXPECT_EQ(method_of(hist, decide_fire(hist, ports.connected, h)),
+                "configureBins");
+    }
   }
-  {  // bins present: configureBins wins.
-    Item bins = Tile(Size2{8, 1}, 1.0);
-    Heads h{{&d0, &bins}};
-    const FireDecision d = decide_fire(hist, {0, 1}, h);
-    ASSERT_EQ(d.kind, FireDecision::Kind::Method);
-    EXPECT_EQ(hist.methods()[static_cast<size_t>(d.method)].name,
-              "configureBins");
-  }
-  {  // without a connected bins input the default ranges apply immediately.
+  {  // without a wired bins input the default ranges apply immediately.
+    Graph g;
+    auto& hist = g.add<HistogramKernel>("hist", 8);
+    const KernelPorts ports = wire_with_param(g, hist, "bins", false);
     Heads h{{&d0, nullptr}};
-    const FireDecision d = decide_fire(hist, {0}, h);
-    ASSERT_EQ(d.kind, FireDecision::Kind::Method);
-    EXPECT_EQ(hist.methods()[static_cast<size_t>(d.method)].name, "count");
+    EXPECT_EQ(method_of(hist, decide_fire(hist, ports.connected, h)), "count");
+  }
+}
+
+TEST(Firing, PendingParameterHoldsDataArrivingMidDecision) {
+  // While the parameter is pending, nothing but its load fires, whatever
+  // "in" shows, and "in" is not even read: a pixel pushed between two
+  // reads of one decision must not fire the data method (a histogram
+  // then loses the count when configureBins zeroes its bins).
+  for (const ParamCase& c : param_cases()) {
+    SCOPED_TRACE(c.param);
+    Graph g;
+    Kernel& k = c.add(g);
+    const KernelPorts ports = wire_with_param(g, k, c.param, true);
+    const Item eof = token(tok::kEndOfFrame);
+    for (const Item* in : {static_cast<const Item*>(nullptr), &c.data_item,
+                           &eof}) {
+      Heads h{{in, nullptr}};
+      EXPECT_FALSE(decide_fire(k, ports.connected, h).fires());
+    }
+    ArrivingHeads arriving{&c.data_item};
+    EXPECT_EQ(method_of(k, decide_fire(k, ports.connected, arriving)),
+              "<none>");
+    EXPECT_EQ(arriving.in_reads, 0);
+  }
+}
+
+TEST(Firing, ParameterLoadsThroughTheSharedStepBeforeData) {
+  for (const ParamCase& c : param_cases()) {
+    SCOPED_TRACE(c.param);
+    Graph g;
+    Kernel& k = c.add(g);
+    KernelPorts ports = wire_with_param(g, k, c.param, true);
+    // Parameter data at the head: its load method fires first.
+    FireDecision d = decide_fire(k, ports.connected,
+                                 Heads{{&c.data_item, &c.param_item}});
+    ASSERT_EQ(method_of(k, d), c.load);
+    ExecContext ctx;
+    fire(k, d, {c.param_item}, ctx, ports.pending);
+    // Loaded through the shared fire step: data fires.
+    d = decide_fire(k, ports.connected, Heads{{&c.data_item, nullptr}});
+    EXPECT_EQ(method_of(k, d), c.run);
+  }
+}
+
+/// Decide and fire `k` once per head view in `steps`, each of which must
+/// fire, and return what the firings emitted.
+std::vector<Item> fire_steps(Kernel& k, KernelPorts& ports,
+                             const std::vector<Heads>& steps) {
+  ExecContext ctx;
+  for (const Heads& h : steps) {
+    const FireDecision d = decide_fire(k, ports.connected, h);
+    EXPECT_TRUE(d.fires());
+    std::vector<Item> popped;
+    for (int p : d.pop_inputs) popped.push_back(*h(p));
+    fire(k, d, popped, ctx, ports.pending);
+  }
+  std::vector<Item> out;
+  for (; !ports.pending.empty(); ports.pending.pop_front())
+    out.push_back(ports.pending.front().item);
+  return out;
+}
+
+TEST(Firing, DataFiresOnTheLoadedParameterOrTheDefault) {
+  // Wired, data fires after the parameter loads and on it; unwired, at
+  // once on the default: uniform bins over [0, 256), the identity filter.
+  const Item pixel = px(3), eof = token(tok::kEndOfFrame);
+  const Item bins = HistogramKernel::uniform_bins(8, 0.0, 8.0);
+  for (const bool wired : {true, false}) {
+    SCOPED_TRACE(wired ? "wired" : "unwired");
+    Graph g;
+    auto& hist = g.add<HistogramKernel>("hist", 8);
+    KernelPorts ports = wire_with_param(g, hist, "bins", wired);
+    std::vector<Heads> steps{Heads{{&pixel, nullptr}}, Heads{{&eof, nullptr}}};
+    if (wired) steps.insert(steps.begin(), Heads{{&pixel, &bins}});
+    const std::vector<Item> out = fire_steps(hist, ports, steps);
+    ASSERT_EQ(out.size(), 2u);  // the counts, then the frame's end
+    const Tile& counts = as_tile(out[0]);
+    for (int b = 0; b < 8; ++b)  // 3 is in [3, 4) loaded, [0, 32) default
+      EXPECT_EQ(counts.at(b, 0), b == (wired ? 3 : 0) ? 1.0 : 0.0) << b;
+  }
+
+  Tile window(Size2{3, 3}, 2.0);
+  window.at(1, 1) = 5.0;
+  const Item win = window, coeff = Tile(Size2{3, 3}, 1.0);
+  for (const bool wired : {true, false}) {
+    SCOPED_TRACE(wired ? "wired" : "unwired");
+    Graph g;
+    auto& conv = g.add<ConvolutionKernel>("conv", 3, 3);
+    KernelPorts ports = wire_with_param(g, conv, "coeff", wired);
+    std::vector<Heads> steps{Heads{{&win, nullptr}}};
+    if (wired) steps.insert(steps.begin(), Heads{{&win, &coeff}});
+    const std::vector<Item> out = fire_steps(conv, ports, steps);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(as_tile(out[0]).at(0, 0), wired ? 21.0 : 5.0);
   }
 }
 

@@ -174,14 +174,23 @@ TEST(KernelModel, CloneIsIndependent) {
   c->ensure_configured();
   EXPECT_EQ(c->name(), "conv");
   EXPECT_EQ(c->inputs().size(), k.inputs().size());
-  // The clone's method bodies act on the clone's own state.
+  // The clone's method bodies act on the clone's own state: coefficients
+  // loaded into the clone leave the original on its identity filter.
   ExecContext ctx;
-  Tile coeff(Size2{3, 3}, 1.0);
-  Item coeff_item = coeff;
+  Item coeff_item = Tile(Size2{3, 3}, 1.0);
   ctx.bind_input(c->input_index("coeff"), &coeff_item);
   c->invoke(0, ctx);  // loadCoeff is registered first
-  EXPECT_TRUE(dynamic_cast<ConvolutionKernel&>(*c).coeff_loaded());
-  EXPECT_FALSE(k.coeff_loaded());
+  Tile window(Size2{3, 3}, 2.0);
+  window.at(1, 1) = 5.0;
+  const Item window_item = window;
+  auto convolve = [&](Kernel& kn) {
+    ctx.reset();
+    ctx.bind_input(kn.input_index("in"), &window_item);
+    kn.invoke(1, ctx);  // runConvolve
+    return as_tile(ctx.emissions().at(0).item).at(0, 0);
+  };
+  EXPECT_EQ(convolve(*c), 21.0);
+  EXPECT_EQ(convolve(k), 5.0);
 }
 
 class SelfTuningKernel final : public Kernel {
