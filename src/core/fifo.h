@@ -30,10 +30,13 @@ class Fifo {
     return slots_[(head_ + i) & mask()];
   }
 
-  void push_back(T&& v) {
+  void push_back(T&& v) { emplace_back() = std::move(v); }
+  /// Appends the slot past the back, still in the reset state pop_front
+  /// leaves, and returns it for the caller to fill in place: an item moves
+  /// once into its slot, with no temporary on the way.
+  T& emplace_back() {
     if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & mask()] = std::move(v);
-    ++size_;
+    return slots_[(head_ + size_++) & mask()];
   }
   /// Resets the slot, so the popped item's storage is released now.
   void pop_front() {

@@ -46,12 +46,7 @@ void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
 
   // The parameter rule: while it is pending, try only its load methods.
   const bool awaiting = k.awaiting_parameter();
-  if (!awaiting) {
-    if (auto custom = k.decide_custom(connected, head)) {
-      out = *custom;
-      return;
-    }
-  }
+  if (!awaiting && k.decide_custom(connected, head, out)) return;
 
   // 1. Method triggers, in registration order.
   const auto& methods = k.methods();
@@ -156,9 +151,10 @@ KernelPorts wire_kernel(Graph& g, KernelId k) {
   return p;
 }
 
-long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
+long fire(Kernel& k, const FireDecision& d, std::vector<Item>& popped,
           ExecContext& ctx, Fifo<Emission>& pending) {
   ctx.reset();
+  ctx.bind_output(pending);
   for (size_t i = 0; i < d.pop_inputs.size(); ++i)
     ctx.bind_input(d.pop_inputs[i], &popped[i]);
   long run_cycles = 2;
@@ -173,7 +169,6 @@ long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
     for (int o : d.forward_outputs)
       ctx.emit(o, ControlToken{d.token, d.payload});
   }
-  for (Emission& e : ctx.emissions()) pending.push_back(std::move(e));
   return run_cycles;
 }
 

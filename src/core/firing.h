@@ -96,8 +96,8 @@ struct FireDecision {
 /// Allocation-free variant for engine hot loops: overwrites `out`
 /// (clearing, not shrinking, its vectors), so a decision object reused
 /// across firings stops heap-allocating once its capacity warms up, on
-/// every path of the rules above (not-ready, method and forward alike). A
-/// Kernel::decide_custom override allocates only if it does so itself.
+/// every path of the rules above (not-ready, method and forward alike) and
+/// of a Kernel::decide_custom override, which fills `out` in place.
 void decide_fire_into(const Kernel& k, const std::vector<int>& connected,
                       const HeadFn& head, FireDecision& out);
 
@@ -118,12 +118,14 @@ struct KernelPorts {
 [[nodiscard]] KernelPorts wire_kernel(Graph& g, KernelId k);
 
 /// Fire `k` on decision `d` (Method or Forward): bind `popped`, the items
-/// popped from d.pop_inputs in that order, run the decided method with its
-/// trigger token or forward the token, and move the emissions onto
-/// `pending`. Returns the method's declared run cycles, or 2 for a forward
-/// (the token-forwarding FSM step). `ctx` keeps the firing's dynamic-cycle
-/// report. A parameter-load method ends the kernel's parameter wait.
-long fire(Kernel& k, const FireDecision& d, const std::vector<Item>& popped,
+/// popped from d.pop_inputs in that order, and `pending`, then run the
+/// decided method with its trigger token or forward the token; each
+/// emission lands on `pending` directly. The method may move tiles out of
+/// `popped` (Kernel::take_input); its tokens stay. Returns the method's
+/// declared run cycles, or 2 for a forward (the token-forwarding FSM
+/// step). `ctx` keeps the firing's dynamic-cycle report. A parameter-load
+/// method ends the kernel's parameter wait.
+long fire(Kernel& k, const FireDecision& d, std::vector<Item>& popped,
           ExecContext& ctx, Fifo<Emission>& pending);
 
 /// Move `p.pending` onto its channels, in order, while every channel of the
@@ -143,7 +145,8 @@ bool drain_pending(KernelPorts& p, HasSpace&& has_space, Push&& push) {
   return true;
 }
 
-/// The control tokens a sink consumed in one firing: calls
+/// The control tokens a sink consumed in one firing (the firing may have
+/// moved its tiles out, never its tokens): calls
 /// `on_frame_end(payload)` for each end-of-frame token in `popped` (the
 /// payload is the frame index) and returns the number of end-of-stream
 /// tokens.

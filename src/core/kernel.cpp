@@ -51,6 +51,8 @@ void Kernel::ensure_configured() {
 void Kernel::invoke(int m, ExecContext& ctx) {
   if (m < 0 || m >= static_cast<int>(methods_.size()))
     throw ExecutionError(name_ + ": invoking unknown method index " + std::to_string(m));
+  if (!ctx.output_bound())
+    throw ExecutionError(name_ + ": invoked without an output queue");
   ctx_ = &ctx;
   try {
     methods_[static_cast<size_t>(m)].body(*this);
@@ -171,14 +173,22 @@ const Tile& Kernel::read_input(const std::string& port_name) const {
   return read_input(i);
 }
 
-const Tile& Kernel::read_input(int port) const {
-  require_ctx("read_input");
-  const Item* it = ctx_->input(port);
+Tile& Kernel::bound_tile(const char* what, int port) const {
+  require_ctx(what);
+  Item* it = ctx_->input(port);
   if (!it || !is_data(*it))
     throw ExecutionError(name_ + ": no data bound to input '" +
                          inputs_.at(static_cast<size_t>(port)).spec.name +
                          "' for this firing");
-  return as_tile(*it);
+  return std::get<Tile>(*it);
+}
+
+const Tile& Kernel::read_input(int port) const {
+  return bound_tile("read_input", port);
+}
+
+Tile Kernel::take_input(int port) {
+  return std::move(bound_tile("take_input", port));
 }
 
 bool Kernel::has_input(const std::string& port_name) const {
@@ -204,7 +214,12 @@ void Kernel::write_output(int port, Tile t) {
   write_output_at(port, std::move(t), -1);
 }
 
-void Kernel::write_output_at(int o, Tile t, long charge_words) {
+void Kernel::write_output_charged(int port, Tile t, long charge_words) {
+  require_ctx("write_output");
+  write_output_at(port, std::move(t), charge_words);
+}
+
+void Kernel::write_output_at(int o, Tile&& t, long charge_words) {
   const PortSpec& spec = outputs_.at(static_cast<size_t>(o)).spec;
   if (t.size() != spec.window)
     throw ExecutionError(name_ + ": output '" + spec.name + "' expects " +

@@ -139,16 +139,21 @@ class Kernel {
 
   /// Kernels whose consumption pattern depends on internal state (the
   /// round-robin and run-length join FSMs, §IV-A) override this to decide
-  /// firing themselves. Return nullopt to use the standard rules. `head`
-  /// is a borrowed view of the engine's channel heads — valid only for the
-  /// duration of this call, so it must not be stored. Never return
-  /// nullopt because an input looked empty: on the host a push may land
-  /// before the standard rules read that input again.
-  [[nodiscard]] virtual std::optional<FireDecision> decide_custom(
-      const std::vector<int>& connected, const HeadFn& head) const {
+  /// firing themselves: fill `out`, the engine's reused decision (already
+  /// reset to None with empty port lists, so assigning into it allocates
+  /// nothing once warm), and return true; leaving it None means nothing
+  /// fires. Return false to use the standard rules. `head` is a borrowed
+  /// view of the engine's channel heads — valid only for the duration of
+  /// this call, so it must not be stored. Never return false because an
+  /// input looked empty: on the host a push may land before the standard
+  /// rules read that input again.
+  [[nodiscard]] virtual bool decide_custom(const std::vector<int>& connected,
+                                           const HeadFn& head,
+                                           FireDecision& out) const {
     (void)connected;
     (void)head;
-    return std::nullopt;
+    (void)out;
+    return false;
   }
 
   /// Notification that the producer feeding input `input_idx` was
@@ -243,11 +248,17 @@ class Kernel {
   /// Emit a control token on output `port_name`.
   void emit_token(const std::string& port_name, TokenClass cls,
                   std::int64_t payload = 0);
-  /// The same three by port index, for kernels that resolve their ports
+  /// The same four by port index, for kernels that resolve their ports
   /// once in configure() rather than by name on every firing.
   [[nodiscard]] const Tile& read_input(int port) const;
   void write_output(int port, Tile t);
+  void write_output_charged(int port, Tile t, long charge_words);
   void emit_token(int port, TokenClass cls, std::int64_t payload = 0);
+  /// Move the tile bound to input `port` out, for a kernel that forwards
+  /// it unchanged (split, join, inset): the engine owns the popped item
+  /// and reads only tokens after the firing. Throws like read_input when
+  /// no tile is bound; afterwards the input reads as an empty tile.
+  [[nodiscard]] Tile take_input(int port);
   /// Mutable access to a registered method (e.g. to re-derive resource
   /// numbers after a compiler pass reshapes the kernel).
   [[nodiscard]] MethodDef& method_mut(const std::string& method_name);
@@ -266,7 +277,9 @@ class Kernel {
   /// Index of output `port_name`; throws for an unknown port.
   [[nodiscard]] int output_for(const char* what,
                                const std::string& port_name) const;
-  void write_output_at(int o, Tile t, long charge_words);
+  void write_output_at(int o, Tile&& t, long charge_words);
+  /// The tile bound to input `port`; throws when none is.
+  [[nodiscard]] Tile& bound_tile(const char* what, int port) const;
 
   std::string name_;
   std::vector<InputPort> inputs_;

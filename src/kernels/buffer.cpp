@@ -47,6 +47,8 @@ void BufferKernel::reshape(Size2 new_frame) {
 void BufferKernel::configure() {
   create_input("in", in_gran_, {in_gran_.w, in_gran_.h}, {0.0, 0.0});
   create_output("out", out_win_, out_step_);
+  in_ = input_index("in");
+  out_ = output_index("out");
 
   auto& absorb = register_method(
       "absorb", Resources{4 + 2L * in_gran_.area(), storage_words() + 16},
@@ -88,7 +90,7 @@ bool BufferKernel::pixel_received(int px, int py) const {
 }
 
 void BufferKernel::absorb() {
-  const Tile& t = read_input("in");
+  const Tile& t = read_input(in_);
   for (int y = 0; y < in_gran_.h; ++y) {
     const double* src = t.row_ptr(y);
     std::copy(src, src + in_gran_.w, &cell(in_x_, in_y_ + y));
@@ -111,11 +113,11 @@ void BufferKernel::emit_ready_windows() {
       const double* src = &cell(px, py + y);  // ring rows are contiguous
       std::copy(src, src + out_win_.w, win.row_ptr(y));
     }
-    write_output_charged("out", std::move(win), window_charge(ex_, ey_));
+    write_output_charged(out_, std::move(win), window_charge(ex_, ey_));
     if (++ex_ == iters_.w) {
       ex_ = 0;
       ++ey_;
-      emit_token("out", tok::kEndOfLine, ey_ - 1);
+      emit_token(out_, tok::kEndOfLine, ey_ - 1);
     }
   }
 }
@@ -133,12 +135,12 @@ void BufferKernel::on_eof() {
                          " rows");
   if (ey_ != iters_.h)
     throw ExecutionError(name() + ": frame ended with unemitted windows");
-  emit_token("out", tok::kEndOfFrame, trigger_payload());
+  emit_token(out_, tok::kEndOfFrame, trigger_payload());
   in_x_ = in_y_ = ex_ = ey_ = 0;
 }
 
 void BufferKernel::on_eos() {
-  emit_token("out", tok::kEndOfStream, trigger_payload());
+  emit_token(out_, tok::kEndOfStream, trigger_payload());
   in_x_ = in_y_ = ex_ = ey_ = 0;
 }
 

@@ -108,6 +108,7 @@ class BufferKernel final : public Kernel {
   Step2 out_step_;
   Size2 frame_;
   Size2 iters_{0, 0};  ///< windows per frame
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 
   // Circular row storage.
   std::vector<double> ring_;

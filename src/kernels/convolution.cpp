@@ -18,6 +18,8 @@ void ConvolutionKernel::configure() {
   create_output("out", {1, 1});
   create_input("coeff", {width_, height_}, {width_, height_}, center);
   set_replicated("coeff");
+  in_ = input_index("in");
+  out_ = output_index("out");
 
   // Registered before runConvolve: when both inputs are ready, a pending
   // coefficient reload wins.
@@ -55,13 +57,13 @@ void ConvolutionKernel::flip_coeff() {
 }
 
 void ConvolutionKernel::run_convolve() {
-  const Tile& in = read_input("in");
+  const Tile& in = read_input(in_);
   Tile result(1, 1);
   // Row-major accumulation; the SIMD backends reassociate the reduction
   // within the dot (ULP-bounded vs the scalar table, tests/test_simd.cpp).
   result.at(0, 0) = simd::ops().dot(in.data(), coeff_flipped_.data(),
                                     static_cast<int>(in.words()));
-  write_output("out", std::move(result));
+  write_output(out_, std::move(result));
 }
 
 void ConvolutionKernel::load_coeff() {

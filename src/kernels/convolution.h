@@ -36,6 +36,7 @@ class ConvolutionKernel final : public Kernel {
 
   int width_;
   int height_;
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
   Tile coeff_;
   std::vector<double> coeff_flipped_;  ///< contiguous, both axes reversed
 };

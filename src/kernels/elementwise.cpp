@@ -16,6 +16,9 @@ void BinaryOpKernel::configure() {
   create_input("in0", {1, 1}, {1, 1}, {0.0, 0.0});
   create_input("in1", {1, 1}, {1, 1}, {0.0, 0.0});
   create_output("out", {1, 1});
+  in0_ = input_index("in0");
+  in1_ = input_index("in1");
+  out_ = output_index("out");
   auto& run = register_method("run", Resources{cycles_, 4}, &BinaryOpKernel::run);
   method_input(run, "in0");
   method_input(run, "in1");
@@ -23,11 +26,11 @@ void BinaryOpKernel::configure() {
 }
 
 void BinaryOpKernel::run() {
-  const Tile& a = read_input("in0");
-  const Tile& b = read_input("in1");
+  const Tile& a = read_input(in0_);
+  const Tile& b = read_input(in1_);
   Tile result(1, 1);
   result.at(0, 0) = fn_(a.at(0, 0), b.at(0, 0));
-  write_output("out", std::move(result));
+  write_output(out_, std::move(result));
 }
 
 UnaryOpKernel::UnaryOpKernel(std::string name, Fn fn, long cycles,
@@ -42,6 +45,8 @@ UnaryOpKernel::UnaryOpKernel(std::string name, Fn fn, long cycles,
 void UnaryOpKernel::configure() {
   create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
   create_output("out", {1, 1});
+  in_ = input_index("in");
+  out_ = output_index("out");
   auto& run = register_method("run", Resources{cycles_, 2}, &UnaryOpKernel::run);
   method_input(run, "in");
   method_output(run, "out");
@@ -49,8 +54,8 @@ void UnaryOpKernel::configure() {
 
 void UnaryOpKernel::run() {
   Tile result(1, 1);
-  result.at(0, 0) = fn_(read_input("in").at(0, 0));
-  write_output("out", std::move(result));
+  result.at(0, 0) = fn_(read_input(in_).at(0, 0));
+  write_output(out_, std::move(result));
 }
 
 std::unique_ptr<BinaryOpKernel> make_subtract(std::string name) {

@@ -35,6 +35,7 @@ class BinaryOpKernel final : public Kernel {
   Fn fn_;
   long cycles_;
   std::string op_tag_;
+  int in0_ = -1, in1_ = -1, out_ = -1;  ///< resolved in configure()
 };
 
 class UnaryOpKernel final : public Kernel {
@@ -61,6 +62,7 @@ class UnaryOpKernel final : public Kernel {
   long cycles_;
   std::string op_tag_;
   double p0_ = 0.0, p1_ = 0.0;
+  int in_ = -1, out_ = -1;  ///< resolved in configure()
 };
 
 // Convenience factories matching the paper's kernel vocabulary.

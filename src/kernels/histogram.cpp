@@ -15,6 +15,7 @@ void HistogramKernel::configure() {
   create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
   create_output("out", {bins_, 1}, {bins_, 1});
   create_input("bins", {bins_, 1}, {bins_, 1}, {0.0, 0.0});
+  in_ = input_index("in");
   set_replicated("bins");
   auto& cfg = register_method("configureBins", Resources{2L * bins_ + 3, bins_},
                               &HistogramKernel::configure_bins);
@@ -62,7 +63,7 @@ int HistogramKernel::find_bin(double v) const {
 }
 
 void HistogramKernel::count() {
-  const double value = read_input("in").at(0, 0);
+  const double value = read_input(in_).at(0, 0);
   ++counts_[static_cast<size_t>(find_bin(value))];
 }
 

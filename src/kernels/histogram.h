@@ -46,6 +46,7 @@ class HistogramKernel final : public Kernel {
   [[nodiscard]] int find_bin(double v) const;
 
   int bins_;
+  int in_ = -1;  ///< resolved in configure()
   std::vector<double> uppers_;  ///< upper (exclusive) bound of each bin
   std::vector<long> counts_;
   /// Searched bounds (all but the catch-all last) are non-decreasing, so

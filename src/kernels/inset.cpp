@@ -13,6 +13,8 @@ InsetKernel::InsetKernel(std::string name, Border border, Size2 frame)
 void InsetKernel::configure() {
   create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
   create_output("out", {1, 1});
+  in_ = input_index("in");
+  out_ = output_index("out");
   auto& pass = register_method("pass", Resources{4, 8}, &InsetKernel::pass);
   method_input(pass, "in");
   method_output(pass, "out");
@@ -32,24 +34,24 @@ void InsetKernel::init() { x_ = y_ = 0; }
 void InsetKernel::pass() {
   const bool keep_row = y_ >= border_.top && y_ < frame_.h - border_.bottom;
   const bool keep_col = x_ >= border_.left && x_ < frame_.w - border_.right;
-  if (keep_row && keep_col) write_output("out", read_input("in"));
+  if (keep_row && keep_col) write_output(out_, take_input(in_));
   ++x_;
 }
 
 void InsetKernel::on_eol() {
   if (y_ >= border_.top && y_ < frame_.h - border_.bottom)
-    emit_token("out", tok::kEndOfLine, y_ - border_.top);
+    emit_token(out_, tok::kEndOfLine, y_ - border_.top);
   x_ = 0;
   ++y_;
 }
 
 void InsetKernel::on_eof() {
-  emit_token("out", tok::kEndOfFrame, trigger_payload());
+  emit_token(out_, tok::kEndOfFrame, trigger_payload());
   x_ = y_ = 0;
 }
 
 void InsetKernel::on_eos() {
-  emit_token("out", tok::kEndOfStream, trigger_payload());
+  emit_token(out_, tok::kEndOfStream, trigger_payload());
   x_ = y_ = 0;
 }
 
@@ -62,6 +64,8 @@ PadKernel::PadKernel(std::string name, Border border, Size2 frame)
 void PadKernel::configure() {
   create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
   create_output("out", {1, 1});
+  in_ = input_index("in");
+  out_ = output_index("out");
   auto& pass = register_method("pass", Resources{5, 8}, &PadKernel::pass);
   method_input(pass, "in");
   method_output(pass, "out");
@@ -79,7 +83,7 @@ void PadKernel::configure() {
 void PadKernel::init() { x_ = y_ = 0; }
 
 void PadKernel::emit_zero_row() {
-  for (int x = 0; x < out_frame().w; ++x) write_output("out", Tile({1, 1}, 0.0));
+  for (int x = 0; x < out_frame().w; ++x) write_output(out_, Tile({1, 1}, 0.0));
 }
 
 void PadKernel::pass() {
@@ -87,18 +91,18 @@ void PadKernel::pass() {
     // Top border rows, each a full padded-width row of zeros.
     for (int r = 0; r < border_.top; ++r) {
       emit_zero_row();
-      emit_token("out", tok::kEndOfLine, r);
+      emit_token(out_, tok::kEndOfLine, r);
     }
   }
   if (x_ == 0)
-    for (int p = 0; p < border_.left; ++p) write_output("out", Tile({1, 1}, 0.0));
-  write_output("out", read_input("in"));
+    for (int p = 0; p < border_.left; ++p) write_output(out_, Tile({1, 1}, 0.0));
+  write_output(out_, take_input(in_));
   ++x_;
 }
 
 void PadKernel::on_eol() {
-  for (int p = 0; p < border_.right; ++p) write_output("out", Tile({1, 1}, 0.0));
-  emit_token("out", tok::kEndOfLine, border_.top + y_);
+  for (int p = 0; p < border_.right; ++p) write_output(out_, Tile({1, 1}, 0.0));
+  emit_token(out_, tok::kEndOfLine, border_.top + y_);
   x_ = 0;
   ++y_;
 }
@@ -106,14 +110,14 @@ void PadKernel::on_eol() {
 void PadKernel::on_eof() {
   for (int r = 0; r < border_.bottom; ++r) {
     emit_zero_row();
-    emit_token("out", tok::kEndOfLine, border_.top + frame_.h + r);
+    emit_token(out_, tok::kEndOfLine, border_.top + frame_.h + r);
   }
-  emit_token("out", tok::kEndOfFrame, trigger_payload());
+  emit_token(out_, tok::kEndOfFrame, trigger_payload());
   x_ = y_ = 0;
 }
 
 void PadKernel::on_eos() {
-  emit_token("out", tok::kEndOfStream, trigger_payload());
+  emit_token(out_, tok::kEndOfStream, trigger_payload());
   x_ = y_ = 0;
 }
 

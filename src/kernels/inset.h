@@ -58,6 +58,7 @@ class InsetKernel final : public Kernel {
 
   Border border_;
   Size2 frame_;
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
   int x_ = 0, y_ = 0;
 };
 
@@ -110,6 +111,7 @@ class PadKernel final : public Kernel {
 
   Border border_;
   Size2 frame_;
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
   int x_ = 0, y_ = 0;
 };
 

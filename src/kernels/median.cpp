@@ -17,6 +17,8 @@ void MedianKernel::configure() {
   create_input("in", {width_, height_}, {1, 1},
                {static_cast<double>(width_ / 2), static_cast<double>(height_ / 2)});
   create_output("out", {1, 1});
+  in_ = input_index("in");
+  out_ = output_index("out");
   auto& run = register_method("runMedian",
                               Resources{run_cycles(width_, height_),
                                         static_cast<long>(width_) * height_ + 8},
@@ -26,7 +28,7 @@ void MedianKernel::configure() {
 }
 
 void MedianKernel::run_median() {
-  const Tile& in = read_input("in");
+  const Tile& in = read_input(in_);
   Tile result(1, 1);
   if (in.words() == 9) {
     // 3x3 is the common case: 19-exchange sorting network, same exchange
@@ -38,7 +40,7 @@ void MedianKernel::run_median() {
     std::nth_element(v.begin(), mid, v.end());
     result.at(0, 0) = *mid;
   }
-  write_output("out", std::move(result));
+  write_output(out_, std::move(result));
 }
 
 }  // namespace bpp

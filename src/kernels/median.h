@@ -23,6 +23,7 @@ class MedianKernel final : public Kernel {
 
   int width_;
   int height_;
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 };
 
 }  // namespace bpp

@@ -29,6 +29,7 @@ class MorphologyKernel final : public Kernel {
   Op op_;
   int width_;
   int height_;
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 };
 
 }  // namespace bpp

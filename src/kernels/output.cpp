@@ -9,6 +9,7 @@ OutputKernel::OutputKernel(std::string name, Size2 item)
 
 void OutputKernel::configure() {
   create_input("in", item_, {item_.w, item_.h});
+  in_ = input_index("in");
   auto& collect = register_method("collect", Resources{5 + item_.area(), 64},
                                   &OutputKernel::collect);
   method_input(collect, "in");
@@ -30,7 +31,7 @@ void OutputKernel::init() {
 }
 
 void OutputKernel::collect() {
-  const Tile& t = read_input("in");
+  const Tile& t = read_input(in_);
   tiles_.push_back(t);
   // Build up the current band of item_.h pixel rows for 2-D reassembly
   // (items of height > 1 tile the frame band by band).

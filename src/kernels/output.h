@@ -40,6 +40,7 @@ class OutputKernel final : public Kernel {
   void on_eos();
 
   Size2 item_;
+  int in_ = -1;  ///< resolved in configure()
   std::vector<Tile> tiles_;
   std::vector<Tile> frames_;
   std::vector<std::vector<double>> rows_;  // completed rows of current frame

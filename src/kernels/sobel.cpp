@@ -9,6 +9,8 @@ SobelKernel::SobelKernel(std::string name) : Kernel(std::move(name)) {}
 void SobelKernel::configure() {
   create_input("in", {3, 3}, {1, 1}, {1.0, 1.0});
   create_output("out", {1, 1});
+  in_ = input_index("in");
+  out_ = output_index("out");
   auto& run = register_method("sobel", Resources{10 + 4L * 9, 8}, &SobelKernel::run);
   method_input(run, "in");
   method_output(run, "out");
@@ -24,8 +26,8 @@ double SobelKernel::gradient_magnitude(const Tile& w) {
 
 void SobelKernel::run() {
   Tile out(1, 1);
-  out.at(0, 0) = gradient_magnitude(read_input("in"));
-  write_output("out", std::move(out));
+  out.at(0, 0) = gradient_magnitude(read_input(in_));
+  write_output(out_, std::move(out));
 }
 
 }  // namespace bpp

@@ -21,6 +21,8 @@ class SobelKernel final : public Kernel {
 
  private:
   void run();
+
+  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 };
 
 }  // namespace bpp

@@ -70,11 +70,11 @@ void SplitKernel::init() {
 }
 
 void SplitKernel::route() {
-  const Tile& t = read_input(in_);
   if (mode_ == Mode::RoundRobin) {
-    write_output(outs_[static_cast<size_t>(rr_)], t);
+    write_output(outs_[static_cast<size_t>(rr_)], take_input(in_));
     rr_ = (rr_ + 1) % n_;
   } else {
+    const Tile& t = read_input(in_);
     for (int i = 0; i < n_; ++i)
       if (x_ >= ranges_[static_cast<size_t>(i)].first &&
           x_ < ranges_[static_cast<size_t>(i)].second)
@@ -169,17 +169,16 @@ void JoinKernel::reset_line() {
     ++cur_;
 }
 
-std::optional<FireDecision> JoinKernel::decide_custom(
-    const std::vector<int>& connected, const HeadFn& head) const {
+bool JoinKernel::decide_custom(const std::vector<int>& connected,
+                               const HeadFn& head, FireDecision& out) const {
   // Data: consume from the current branch only.
   if (cur_ < n_) {
     const Item* h = head(cur_);
     if (h && is_data(*h)) {
-      FireDecision d;
-      d.kind = FireDecision::Kind::Method;
-      d.method = 0;  // take() is registered first
-      d.pop_inputs = {cur_};
-      return d;
+      out.kind = FireDecision::Kind::Method;
+      out.method = 0;  // take() is registered first
+      out.pop_inputs.push_back(cur_);
+      return true;
     }
   }
   // Tokens: require the same class at the head of every branch, then run
@@ -187,32 +186,31 @@ std::optional<FireDecision> JoinKernel::decide_custom(
   const Item* first = nullptr;
   for (int i : connected) {
     const Item* h = head(i);
-    if (!h || !is_token(*h)) return FireDecision{};
+    if (!h || !is_token(*h)) return true;
     if (!first)
       first = h;
     else if (as_token(*h).cls != as_token(*first).cls)
-      return FireDecision{};
+      return true;
   }
-  if (!first || static_cast<int>(connected.size()) != n_) return FireDecision{};
+  if (!first || static_cast<int>(connected.size()) != n_) return true;
   const TokenClass cls = as_token(*first).cls;
   const int m = token_method_of_input(0, cls);
-  FireDecision d;
-  d.pop_inputs = connected;
-  d.token = cls;
-  d.payload = as_token(*first).payload;
+  out.pop_inputs.assign(connected.begin(), connected.end());
+  out.token = cls;
+  out.payload = as_token(*first).payload;
   if (m >= 0) {
-    d.kind = FireDecision::Kind::Method;
-    d.method = m;
+    out.kind = FireDecision::Kind::Method;
+    out.method = m;
   } else {
-    d.kind = FireDecision::Kind::Forward;
-    d.forward_outputs = {0};
+    out.kind = FireDecision::Kind::Forward;
+    out.forward_outputs.push_back(0);
   }
-  return d;
+  return true;
 }
 
 void JoinKernel::take() {
   // Branch i is input port i, as decide_custom assumes.
-  write_output(out_, read_input(cur_));
+  write_output(out_, take_input(cur_));
   advance();
 }
 

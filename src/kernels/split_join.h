@@ -92,8 +92,9 @@ class JoinKernel final : public Kernel {
   [[nodiscard]] ParKind parallel_kind() const override { return ParKind::Serial; }
   [[nodiscard]] std::string dot_shape() const override { return "diamond"; }
 
-  [[nodiscard]] std::optional<FireDecision> decide_custom(
-      const std::vector<int>& connected, const HeadFn& head) const override;
+  [[nodiscard]] bool decide_custom(const std::vector<int>& connected,
+                                   const HeadFn& head,
+                                   FireDecision& out) const override;
 
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] int branches() const { return n_; }

@@ -445,10 +445,11 @@ struct GraphProgram::Impl final : rt::Program {
     return true;
   }
 
-  /// Push one item to every channel of a fan-out and mark the consumers
-  /// ready. Callers guarantee space (has_space_or_arm) — only the owning
-  /// worker pushes, so space cannot shrink in between.
-  void push_all(const std::vector<ChannelId>& outs, Item item, int core,
+  /// Push one item to every channel of a fan-out, copying into all but the
+  /// last, which takes it by move, and mark the consumers ready. Callers
+  /// guarantee space (has_space_or_arm) — only the owning worker pushes,
+  /// so space cannot shrink in between.
+  void push_all(const std::vector<ChannelId>& outs, Item& item, int core,
                 CoreState& w) {
     const size_t n = outs.size();
     for (size_t i = 0; i < n; ++i) {
@@ -484,7 +485,7 @@ struct GraphProgram::Impl final : rt::Program {
           return has_space_or_arm(outs);
         },
         [&](const std::vector<ChannelId>& outs, Emission& e) {
-          push_all(outs, std::move(e.item), core, w);
+          push_all(outs, e.item, core, w);
           moved = true;
         });
     if (rec && moved) {
@@ -594,7 +595,7 @@ struct GraphProgram::Impl final : rt::Program {
               w.ring->emit(obs::source_release(elapsed(), k, core, lag, late));
           }
           const bool opens_frame = frame.step(next->item);
-          push_all(outs, std::move(next->item), core, w);
+          push_all(outs, next->item, core, w);
           next.reset();
           if (rec && opens_frame)
             w.ring->emit(obs::frame_instant(obs::EventKind::kFrameStart,

@@ -67,9 +67,10 @@ struct KernelState {
   KernelPorts ports;
   int sink_index = -1;  ///< into SimResult::sink_frame_times
   int core = -1;        ///< -1 for sources, which are retried every pass
-  /// Something this kernel reads changed since its last attempt failed.
-  /// A failed attempt has no side effects, so a kernel that is not ready
-  /// would fail again and is skipped.
+  /// The kernel's next attempt may act: it has never been attempted, or
+  /// it has pending output or a visible item at an input's head. A failed
+  /// attempt has no side effects, so a kernel that is not ready would
+  /// fail and is skipped; whatever turns visible later readies it again.
   bool ready = false;
 };
 
@@ -320,6 +321,24 @@ class Sim {
     }
   }
 
+  /// The head of channel `c` if an item is there and visible at `now`.
+  [[nodiscard]] const Item* visible_head(ChannelId c, double now) const {
+    const auto& q = channels_[static_cast<size_t>(c)].q;
+    if (q.empty() || q.front().avail > now + kInstant) return nullptr;
+    return &q.front().item;
+  }
+
+  /// After kernel `k` acted: it stays ready only if its next attempt may
+  /// act — output is pending or an input's head is visible. An item that
+  /// turns visible later readies it by its wake (core completion,
+  /// delivery) or at once when published at `now`.
+  void settle_ready(KernelId k, const KernelPorts& ports, double now) {
+    if (!ports.pending.empty()) return;
+    for (int p : ports.connected)
+      if (visible_head(ports.in_channel[static_cast<size_t>(p)], now)) return;
+    make_unready(k);
+  }
+
   [[nodiscard]] bool channel_has_space(ChannelId c) const {
     return static_cast<int>(channels_[static_cast<size_t>(c)].q.size()) <
            opt_.channel_capacity;
@@ -330,16 +349,18 @@ class Sim {
                        [&](ChannelId c) { return channel_has_space(c); });
   }
 
-  /// Append `item` to every channel in `outs`, copying into all but the
-  /// last, which takes it by move.
+  /// Append `item` to every channel in `outs`, filling each slot in
+  /// place: copies into all but the last, which takes it by move.
   void push_all(const std::vector<ChannelId>& outs, Item& item, double avail,
                 long charge, double now) {
     for (size_t i = 0; i < outs.size(); ++i) {
-      auto& q = channels_[static_cast<size_t>(outs[i])].q;
+      TimedItem& slot = channels_[static_cast<size_t>(outs[i])].q.emplace_back();
       if (i + 1 < outs.size())
-        q.push_back(TimedItem{item, avail, charge});
+        slot.item = item;
       else
-        q.push_back(TimedItem{std::move(item), avail, charge});
+        slot.item = std::move(item);
+      slot.avail = avail;
+      slot.charge = charge;
       record_push(outs[i], now);
     }
   }
@@ -454,6 +475,7 @@ class Sim {
             ring_->emit(obs::write_span(now, now + dur, k, c, cycles));
           core.rr = (idx + 1) % n;
           last_action_ = std::max(last_action_, now + dur);
+          settle_ready(k, ports, now);
           return dur;
         }
         if (static_cast<long>(ports.pending.size()) >= kn.pending_capacity()) {
@@ -468,10 +490,7 @@ class Sim {
           kn, ports.connected,
           [&](int port) -> const Item* {
             const ChannelId ch = ports.in_channel[static_cast<size_t>(port)];
-            if (ch < 0) return nullptr;
-            const auto& q = channels_[static_cast<size_t>(ch)].q;
-            if (q.empty() || q.front().avail > now + kInstant) return nullptr;
-            return &q.front().item;
+            return ch < 0 ? nullptr : visible_head(ch, now);
           },
           d);
       if (!d.fires()) {
@@ -563,6 +582,7 @@ class Sim {
             write_words * opt_.machine.write_cost));
       core.rr = (idx + 1) % n;
       last_action_ = std::max(last_action_, now + dur);
+      settle_ready(k, ports, now);
       return dur;
     }
     return 0.0;

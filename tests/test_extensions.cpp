@@ -76,6 +76,8 @@ TEST(UserTokens, UndeclaredEmissionRejected) {
   Rogue k;
   k.ensure_configured();
   ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
   Item in = testutil::px(1);
   ctx.bind_input(0, &in);
   EXPECT_THROW(k.invoke(0, ctx), ExecutionError);

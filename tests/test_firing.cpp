@@ -16,6 +16,7 @@
 #include "kernels/convolution.h"
 #include "kernels/elementwise.h"
 #include "kernels/histogram.h"
+#include "kernels/split_join.h"
 #include "test_util.h"
 
 // Every allocation in this binary goes through these, plain and
@@ -269,7 +270,8 @@ TEST(Firing, ParameterLoadsThroughTheSharedStepBeforeData) {
                                  Heads{{&c.data_item, &c.param_item}});
     ASSERT_EQ(method_of(k, d), c.load);
     ExecContext ctx;
-    fire(k, d, {c.param_item}, ctx, ports.pending);
+    std::vector<Item> popped{c.param_item};
+    fire(k, d, popped, ctx, ports.pending);
     // Loaded through the shared fire step: data fires.
     d = decide_fire(k, ports.connected, Heads{{&c.data_item, nullptr}});
     EXPECT_EQ(method_of(k, d), c.run);
@@ -440,8 +442,7 @@ TEST(Firing, WarmFireStepDoesNotAllocate) {
   // context and the pending queue have grown, a forward costs no heap.
   auto sub = make_subtract("sub");
   sub->ensure_configured();
-  const std::vector<Item> popped{token(tok::kEndOfLine),
-                                 token(tok::kEndOfLine)};
+  std::vector<Item> popped{token(tok::kEndOfLine), token(tok::kEndOfLine)};
   const FireDecision d =
       decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
   ASSERT_EQ(d.kind, FireDecision::Kind::Forward);
@@ -471,7 +472,7 @@ TEST(Firing, WarmDataFireStepDoesNotAllocate) {
   // keeps the whole step, method and drain, off the heap once warm.
   auto sub = make_subtract("sub");
   sub->ensure_configured();
-  const std::vector<Item> popped{px(5), px(3)};
+  std::vector<Item> popped{px(5), px(3)};
   const FireDecision d =
       decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
   ASSERT_EQ(d.kind, FireDecision::Kind::Method);
@@ -500,6 +501,32 @@ TEST(Firing, WarmDataFireStepDoesNotAllocate) {
   before = g_allocations;
   const Tile window(5, 5);
   EXPECT_EQ(g_allocations - before, 1);
+}
+
+TEST(Firing, WarmJoinDecisionDoesNotAllocate) {
+  // A join's decide_custom fills the engine's reused decision in place, so
+  // its data and token decisions cost no heap once warm.
+  JoinKernel join("join", 2, Size2{1, 1}, Step2{1, 1});
+  join.ensure_configured();
+  const Item pixel = px(1), eof = token(tok::kEndOfFrame, 7);
+  const Heads data{{&pixel, &pixel}}, tokens{{&eof, &eof}};
+  const std::vector<int> connected{0, 1};
+  FireDecision d;
+  auto step = [&] {
+    decide_fire_into(join, connected, data, d);
+    const bool took = d.kind == FireDecision::Kind::Method &&
+                      d.pop_inputs.size() == 1 && d.pop_inputs[0] == 0;
+    decide_fire_into(join, connected, tokens, d);
+    return took && d.kind == FireDecision::Kind::Method && d.payload == 7 &&
+           d.pop_inputs.size() == 2;
+  };
+  ASSERT_TRUE(step());  // warm-up
+
+  const long before = g_allocations;
+  bool decided = true;
+  for (int i = 0; i < 100; ++i) decided = step() && decided;
+  EXPECT_EQ(g_allocations - before, 0);
+  EXPECT_TRUE(decided);
 }
 
 TEST(Firing, DrainStopsAtFirstPortWithoutSpace) {

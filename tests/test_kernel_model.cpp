@@ -134,12 +134,14 @@ TEST(KernelModel, InvokeBindsInputsAndCollectsEmissions) {
   PassKernel k("p");
   k.ensure_configured();
   ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
   Item in = testutil::px(3.5);
   ctx.bind_input(0, &in);
   k.invoke(0, ctx);
-  ASSERT_EQ(ctx.emissions().size(), 1u);
-  EXPECT_EQ(ctx.emissions()[0].port, 0);
-  EXPECT_EQ(as_tile(ctx.emissions()[0].item).at(0, 0), 3.5);
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(emissions[0].port, 0);
+  EXPECT_EQ(as_tile(emissions[0].item).at(0, 0), 3.5);
 }
 
 class WrongSizeWriter final : public Kernel {
@@ -162,9 +164,73 @@ TEST(KernelModel, WrongTileSizeRejected) {
   WrongSizeWriter k;
   k.ensure_configured();
   ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
   Item in = testutil::px(0);
   ctx.bind_input(0, &in);
   EXPECT_THROW(k.invoke(0, ctx), ExecutionError);
+}
+
+/// Forwards its input by moving it out (take_input) on data and on
+/// end-of-frame; reads it (read_input) on end-of-line.
+class TakeForwarder final : public Kernel {
+ public:
+  TakeForwarder() : Kernel("fwd") {}
+  void configure() override {
+    create_input("in", {1, 1});
+    create_output("out", {1, 1});
+    auto& pass = register_method("pass", Resources{1, 0}, &TakeForwarder::take);
+    method_input(pass, "in");
+    method_output(pass, "out");
+    auto& eof = register_method("eof", Resources{1, 0}, &TakeForwarder::take);
+    method_input(eof, "in", tok::kEndOfFrame);
+    method_output(eof, "out");
+    auto& eol = register_method("eol", Resources{1, 0}, &TakeForwarder::read);
+    method_input(eol, "in", tok::kEndOfLine);
+    method_output(eol, "out");
+  }
+  [[nodiscard]] std::unique_ptr<Kernel> clone() const override { return nullptr; }
+
+ private:
+  void take() { write_output(0, take_input(0)); }
+  void read() { write_output(0, read_input(0)); }
+};
+
+TEST(KernelModel, TakeInputMovesTheTileOutAndRejectsTokens) {
+  TakeForwarder k;
+  k.ensure_configured();
+  ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
+  Item in = testutil::px(2.5);
+  ctx.bind_input(0, &in);
+  k.invoke(0, ctx);
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(as_tile(emissions[0].item).at(0, 0), 2.5);
+  EXPECT_TRUE(as_tile(in).empty());  // moved out, not copied
+
+  // A token-bound port has no tile to take, as it has none to read; the
+  // token stays for the engine's frame accounting.
+  Item eof = testutil::token(tok::kEndOfFrame, 3);
+  ctx.reset();
+  ctx.bind_input(0, &eof);
+  EXPECT_THROW(k.invoke(1, ctx), ExecutionError);
+  EXPECT_EQ(as_token(eof), (ControlToken{tok::kEndOfFrame, 3}));
+  Item eol = testutil::token(tok::kEndOfLine);
+  ctx.reset();
+  ctx.bind_input(0, &eol);
+  EXPECT_THROW(k.invoke(2, ctx), ExecutionError);
+  EXPECT_EQ(emissions.size(), 1u);
+}
+
+TEST(KernelModel, InvokeNeedsAnOutputQueue) {
+  PassKernel k("p");
+  k.ensure_configured();
+  ExecContext ctx;
+  Item in = testutil::px(1);
+  ctx.bind_input(0, &in);
+  EXPECT_THROW(k.invoke(0, ctx), ExecutionError);
+  EXPECT_TRUE(is_data(in));
 }
 
 TEST(KernelModel, CloneIsIndependent) {
@@ -177,17 +243,21 @@ TEST(KernelModel, CloneIsIndependent) {
   // The clone's method bodies act on the clone's own state: coefficients
   // loaded into the clone leave the original on its identity filter.
   ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
   Item coeff_item = Tile(Size2{3, 3}, 1.0);
   ctx.bind_input(c->input_index("coeff"), &coeff_item);
   c->invoke(0, ctx);  // loadCoeff is registered first
   Tile window(Size2{3, 3}, 2.0);
   window.at(1, 1) = 5.0;
-  const Item window_item = window;
+  Item window_item = window;
   auto convolve = [&](Kernel& kn) {
     ctx.reset();
     ctx.bind_input(kn.input_index("in"), &window_item);
     kn.invoke(1, ctx);  // runConvolve
-    return as_tile(ctx.emissions().at(0).item).at(0, 0);
+    const double v = as_tile(emissions.front().item).at(0, 0);
+    emissions.pop_front();
+    return v;
   };
   EXPECT_EQ(convolve(*c), 21.0);
   EXPECT_EQ(convolve(k), 5.0);

@@ -299,20 +299,22 @@ TEST(HistogramMerge, AccumulatesExpectedPartials) {
   EXPECT_EQ(merge.expected(), 3);
 
   ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
   Tile partial(Size2{4, 1}, 1.0);
   for (int i = 0; i < 2; ++i) {
     ctx.reset();
     Item it = partial;
     ctx.bind_input(0, &it);
     merge.invoke(0, ctx);
-    EXPECT_TRUE(ctx.emissions().empty());  // waiting for the third partial
+    EXPECT_TRUE(emissions.empty());  // waiting for the third partial
   }
   ctx.reset();
   Item it = partial;
   ctx.bind_input(0, &it);
   merge.invoke(0, ctx);
-  ASSERT_EQ(ctx.emissions().size(), 1u);
-  EXPECT_EQ(as_tile(ctx.emissions()[0].item).at(2, 0), 3.0);
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(as_tile(emissions[0].item).at(2, 0), 3.0);
 }
 
 TEST(OutputKernel, ReassemblesFrames) {

@@ -287,21 +287,36 @@ TEST(Simulator, FirstFiringsLargerThanRunKeepsEverything) {
 
 TEST(Simulator, FewFireDecisionsPerFiring) {
   // The event-driven loop retries a kernel only when something it reads
-  // changed; a sweep over every idle core costs ~19 decisions per firing
-  // on this app.
-  CompiledApp app = compile(apps::figure1_app({48, 36}, 180.0, 2, 64));
-  obs::Recorder rec;
-  SimOptions opt;
-  opt.machine = app.options.machine;
-  opt.recorder = &rec;
-  const SimResult r = simulate(app.graph, app.mapping, opt);
-  ASSERT_TRUE(r.completed);
-  const auto decisions = static_cast<double>(
-      rec.metrics().counter("sim.fire_decisions").value());
-  EXPECT_EQ(rec.metrics().counter("sim.total_firings").value(),
-            r.total_firings);
-  EXPECT_GE(decisions, static_cast<double>(r.total_firings));
-  EXPECT_LE(decisions / static_cast<double>(r.total_firings), 3.0);
+  // changed, and a kernel that acted stays ready only if it has pending
+  // output or a visible input item. A sweep over every idle core costs ~19
+  // decisions per firing on fig1; keeping every fired kernel ready cost
+  // 1.76 on fig1 and 1.98 on analytics at perfbench's size. Measured
+  // here: 1.113 and 1.182.
+  const struct {
+    const char* app;
+    Graph (*build)();
+    double max_ratio;
+  } cases[] = {
+      {"fig1", [] { return apps::figure1_app({48, 36}, 180.0, 2, 64); }, 1.12},
+      {"analytics", [] { return apps::analytics_app({48, 36}, 180.0, 2); },
+       1.19},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.app);
+    CompiledApp app = compile(c.build());
+    obs::Recorder rec;
+    SimOptions opt;
+    opt.machine = app.options.machine;
+    opt.recorder = &rec;
+    const SimResult r = simulate(app.graph, app.mapping, opt);
+    ASSERT_TRUE(r.completed);
+    const auto decisions = static_cast<double>(
+        rec.metrics().counter("sim.fire_decisions").value());
+    EXPECT_EQ(rec.metrics().counter("sim.total_firings").value(),
+              r.total_firings);
+    EXPECT_GE(decisions, static_cast<double>(r.total_firings));
+    EXPECT_LE(decisions / static_cast<double>(r.total_firings), c.max_ratio);
+  }
 }
 
 // ---- golden digests ---------------------------------------------------------
@@ -373,8 +388,10 @@ void digest_trace(const obs::Trace& t, Fnv1a& h) {
 }
 
 /// kCongested (traced) runs on a 3x slower clock with one-item channels,
-/// so back-pressure and input lag drive the schedule.
-enum class DigestMode { kPlain, kRecorded, kFaulted, kCongested };
+/// so back-pressure and input lag drive the schedule. kDelivered (traced)
+/// delays a quarter of every kernel's and source's outputs, so items turn
+/// visible on delivery wakes rather than when their action ends.
+enum class DigestMode { kPlain, kRecorded, kFaulted, kCongested, kDelivered };
 
 /// A digest case's FNV-1a value and, pinned apart, its late releases.
 struct DigestRun {
@@ -399,6 +416,12 @@ DigestRun sim_digest(const std::string& name, DigestMode mode) {
     const fault::FaultPlan plan =
         fault::load_plan(BPP_SOURCE_DIR "/examples/faults/overload.json");
     inj.emplace(plan, plan.seed);
+    opt.injector = &*inj;
+  }
+  if (mode == DigestMode::kDelivered) {
+    fault::FaultPlan plan;
+    plan.delivery.push_back({"*", 0.25, 2e-5});
+    inj.emplace(plan, 11);
     opt.injector = &*inj;
   }
   const SimResult r = simulate(g, app.mapping, opt);
@@ -440,6 +463,29 @@ TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
       EXPECT_EQ(run.digest, digests[m]) << "mode " << m;
       EXPECT_EQ(run.delayed_releases, g.late[m]) << "mode " << m;
     }
+  }
+}
+
+TEST(Simulator, GoldenDigestsWithDeliveryDelays) {
+  // Recorded with the simulator that kept every kernel ready after it
+  // fired: readiness must follow delivery wakes exactly.
+  const struct {
+    const char* app;
+    std::uint64_t digest;
+    long late;
+  } golden[] = {
+      {"fig1", 0x84a0ca1ff4f3e275ULL, 0},
+      {"analytics", 0x66fb636b90e8c037ULL, 0},
+      {"parallel-buffer", 0x5a561c97370cf416ULL, 24},
+      {"multi-conv", 0x3ac3adfbafc9c68eULL, 0},
+      {"feedback", 0x26359825bf21fabdULL, 0},
+      {"motion", 0x86e567e255abc9ceULL, 0},
+  };
+  for (const auto& g : golden) {
+    SCOPED_TRACE(g.app);
+    const DigestRun run = sim_digest(g.app, DigestMode::kDelivered);
+    EXPECT_EQ(run.digest, g.digest);
+    EXPECT_EQ(run.delayed_releases, g.late);
   }
 }
 

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "compiler/multiplex.h"
+#include "kernels/inset.h"
 #include "kernels/split_join.h"
+#include "obs/recorder.h"
 #include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "test_util.h"
 
 namespace bpp {
@@ -184,9 +190,66 @@ TEST(JoinKernel, RunLengthSkipsZeroRuns) {
   // decide_custom inspection.
   Item d = px(1);
   auto head = [&](int p) -> const Item* { return p == 1 ? &d : nullptr; };
-  const auto dec = j.decide_custom({0, 1, 2, 3}, head);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->pop_inputs, (std::vector<int>{1}));
+  FireDecision dec;
+  ASSERT_TRUE(j.decide_custom({0, 1, 2, 3}, head, dec));
+  EXPECT_EQ(dec.pop_inputs, (std::vector<int>{1}));
+}
+
+TEST(SplitJoin, SinkCountsFramesAfterForwardersTakeTheirInput) {
+  // Split, join and inset move each tile out of the engine's popped item
+  // (Kernel::take_input). The engines read only tokens after a firing, so
+  // the sink's end-of-frame and end-of-stream accounting is unchanged:
+  // both frames end and the run completes, on both engines.
+  const Size2 frame{4, 3};
+  std::vector<Item> items;
+  for (int f = 0; f < 2; ++f) {
+    for (int y = 0; y < frame.h; ++y) {
+      for (int x = 0; x < frame.w; ++x) items.push_back(px(100 * f + 10 * y + x));
+      items.push_back(token(tok::kEndOfLine, y));
+    }
+    items.push_back(token(tok::kEndOfFrame, f));
+  }
+  items.push_back(token(tok::kEndOfStream));
+  auto build = [&](Graph& g) -> ItemSink& {
+    auto& src = g.add<ScriptedSource>("src", items);
+    auto& split = g.add<SplitKernel>("split", 2, Size2{1, 1}, Step2{1, 1});
+    auto& join = g.add<JoinKernel>("join", 2, Size2{1, 1}, Step2{1, 1});
+    auto& inset = g.add<InsetKernel>("inset", Border{1, 1, 1, 1}, frame);
+    auto& sink = g.add<ItemSink>("sink");
+    g.connect(src, "out", split, "in");
+    for (int i = 0; i < 2; ++i)
+      g.connect(split, "out" + std::to_string(i), join, "in" + std::to_string(i));
+    g.connect(join, "out", inset, "in");
+    g.connect(inset, "out", sink, "in");
+    return sink;
+  };
+  const std::vector<double> want{
+      11, 12, -(1000.0 + tok::kEndOfLine), -(1000.0 + tok::kEndOfFrame),
+      111, 112, -(1000.0 + tok::kEndOfLine), -(1000.0 + tok::kEndOfFrame),
+      -(1000.0 + tok::kEndOfStream)};
+
+  Graph gs;
+  ItemSink& sim_sink = build(gs);
+  const SimResult sr = simulate(gs, map_one_to_one(gs));
+  ASSERT_TRUE(sr.completed);
+  ASSERT_NE(sr.frame_times(gs.id_of(sim_sink)), nullptr);
+  EXPECT_EQ(sr.frame_times(gs.id_of(sim_sink))->size(), 2u);
+  EXPECT_EQ(sim_sink.log, want);
+
+  Graph gh;
+  ItemSink& host_sink = build(gh);
+  obs::Recorder rec;
+  RuntimeOptions opt;
+  opt.recorder = &rec;
+  const RuntimeResult hr = run_threaded(gh, map_one_to_one(gh), opt);
+  ASSERT_TRUE(hr.completed);  // the sink counted its end-of-stream
+  std::vector<int> frame_ends;  // frame indices, from the EOF payloads
+  for (const obs::TraceEvent& e : rec.trace().events)
+    if (e.kind == obs::EventKind::kFrameEnd && e.kernel == gh.id_of(host_sink))
+      frame_ends.push_back(e.method);
+  std::sort(frame_ends.begin(), frame_ends.end());
+  EXPECT_EQ(frame_ends, (std::vector<int>{0, 1}));
+  EXPECT_EQ(host_sink.log, want);
 }
 
 TEST(ReplicateKernel, CopiesToAllBranches) {
@@ -214,16 +277,16 @@ TEST(JoinKernel, TokensWaitForAllBranches) {
   Item eof = token(tok::kEndOfFrame);
   // EOF on branch 0 only: wait (branch 1 may still carry frame data).
   auto head1 = [&](int p) -> const Item* { return p == 0 ? &eof : nullptr; };
-  auto d1 = j.decide_custom({0, 1}, head1);
-  ASSERT_TRUE(d1.has_value());
-  EXPECT_FALSE(d1->fires());
+  FireDecision d1;
+  ASSERT_TRUE(j.decide_custom({0, 1}, head1, d1));
+  EXPECT_FALSE(d1.fires());
   // EOF on both: the handler fires (resets FSM, forwards one copy).
   Item eof2 = token(tok::kEndOfFrame);
   auto head2 = [&](int p) -> const Item* { return p == 0 ? &eof : &eof2; };
-  auto d2 = j.decide_custom({0, 1}, head2);
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(d2->kind, FireDecision::Kind::Method);
-  EXPECT_EQ(d2->pop_inputs.size(), 2u);
+  FireDecision d2;
+  ASSERT_TRUE(j.decide_custom({0, 1}, head2, d2));
+  EXPECT_EQ(d2.kind, FireDecision::Kind::Method);
+  EXPECT_EQ(d2.pop_inputs.size(), 2u);
 }
 
 }  // namespace
