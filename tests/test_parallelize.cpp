@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "apps/pipelines.h"
 #include "compiler/pipeline.h"
+#include "compiler/report.h"
+#include "core/dot_export.h"
 #include "core/validation.h"
 #include "kernels/kernels.h"
 #include "ref/reference.h"
 #include "runtime/runtime.h"
+#include "test_util.h"
 
 namespace bpp {
 namespace {
@@ -200,6 +205,165 @@ TEST(Parallelize, SplitBufferBehindReplicatedProducer) {
   const auto& edges = dynamic_cast<const OutputKernel&>(app.graph.by_name("edges"));
   ASSERT_EQ(edges.frames().size(), 1u);
   EXPECT_EQ(edges.frames()[0].size(), (Size2{88, 64}));
+}
+
+
+// ---- golden digests ---------------------------------------------------------
+// The compiler's whole output pinned bit for bit: the Graphviz export, the
+// report, both mappings, every kernel's ports and methods, every channel
+// (dead ones too, so creation order shows), every LoadMap entry and every
+// analysed stream. The report's first line is pinned by its census
+// counts rather than its wording. Any change to what the passes insert,
+// in what order, under which names or with which modeled loads shows.
+
+using testutil::Fnv1a;
+
+void digest_port(const PortSpec& p, Fnv1a& h) {
+  h.str(p.name);
+  h.pod(p.window.w);
+  h.pod(p.window.h);
+  h.pod(p.step.x);
+  h.pod(p.step.y);
+  h.pod(p.offset.x);
+  h.pod(p.offset.y);
+  h.pod(p.replicated);
+}
+
+void digest_mapping(const Mapping& m, Fnv1a& h) {
+  h.pod(m.cores);
+  h.pod(m.core_of.size());
+  for (int core : m.core_of) h.pod(core);
+}
+
+void digest_compiled(const CompiledApp& app, Fnv1a& h) {
+  const Graph& g = app.graph;
+  h.str(to_dot(g));
+  const std::string report = report_string(app);
+  h.str(report.substr(report.find('\n') + 1));
+  const GraphCensus c = census(g);
+  for (int n : {c.total, c.sources, c.computation, c.buffers, c.splits_joins,
+                c.insets})
+    h.pod(n);
+  digest_mapping(app.one_to_one, h);
+  digest_mapping(app.mapping, h);
+  h.pod(g.kernel_count());
+  for (KernelId k = 0; k < g.kernel_count(); ++k) {
+    const Kernel& kn = g.kernel(k);
+    h.str(kn.name());
+    h.pod(kn.parallel_kind());
+    h.pod(kn.pending_capacity());
+    for (const InputPort& p : kn.inputs()) digest_port(p.spec, h);
+    for (const OutputPort& p : kn.outputs()) digest_port(p.spec, h);
+    h.pod(kn.methods().size());
+    for (const MethodDef& m : kn.methods()) {
+      h.str(m.name);
+      h.pod(m.res.cycles);
+      h.pod(m.res.memory_words);
+      for (int i : m.inputs) h.pod(i);
+      h.pod(m.trigger_token.value_or(-1));
+      for (int o : m.outputs) h.pod(o);
+      for (const TokenEmission& t : m.token_outputs) {
+        h.pod(t.port);
+        h.pod(t.cls);
+        h.pod(t.max_per_frame);
+      }
+    }
+  }
+  h.pod(g.channel_count());
+  for (ChannelId ch = 0; ch < g.channel_count(); ++ch) {
+    const Channel& c2 = g.channel(ch);
+    h.pod(c2.src_kernel);
+    h.pod(c2.src_port);
+    h.pod(c2.dst_kernel);
+    h.pod(c2.dst_port);
+    h.pod(c2.alive);
+  }
+  h.pod(app.loads.size());
+  for (KernelId k = 0; k < app.loads.size(); ++k) {
+    const LoadModel& l = app.loads.of(k);
+    h.pod(l.cycles_per_second);
+    h.pod(l.read_words_per_second);
+    h.pod(l.write_words_per_second);
+    h.pod(l.firings_per_second);
+    h.pod(l.forwards_per_second);
+    h.pod(l.memory_words);
+  }
+  h.pod(app.analysis.channel.size());
+  for (const StreamInfo& s : app.analysis.channel) {
+    h.pod(s.frame.w);
+    h.pod(s.frame.h);
+    h.pod(s.item.w);
+    h.pod(s.item.h);
+    h.pod(s.item_step.x);
+    h.pod(s.item_step.y);
+    h.pod(s.items_per_frame);
+    h.pod(s.grid.w);
+    h.pod(s.grid.h);
+    h.pod(s.rate_hz);
+    h.pod(s.inset.x);
+    h.pod(s.inset.y);
+    h.pod(s.scale.x);
+    h.pod(s.scale.y);
+    h.pod(s.pixel_space);
+    h.pod(s.origin);
+    for (const auto& [cls, rate] : s.token_rates) {
+      h.pod(cls);
+      h.pod(rate);
+    }
+  }
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(CompiledGraph, GoldenDigests) {
+  // Every named app at the bpc defaults under each alignment policy, with
+  // and without the Fig. 9 reuse striping.
+  const std::pair<const char*, std::uint64_t> apps[] = {
+      {"fig1", 0x2394023f3d1cc16aULL},
+      {"bayer", 0x1004c0042281d893ULL},
+      {"histogram", 0x2f1cbbc097091ebfULL},
+      {"parallel-buffer", 0x5dee9d049d5745d5ULL},
+      {"multi-conv", 0xd2b3ce72566096c4ULL},
+      {"pipeline", 0xfb817b6b59db2577ULL},
+      {"sobel", 0x4fc66d8ca21810ddULL},
+      {"downsample", 0x0c9a8b028a893defULL},
+      {"separable", 0x091c4da317906d1dULL},
+      {"motion", 0xdb14e3fbf4364871ULL},
+      {"feedback", 0xc163b56fb86cb695ULL},
+      {"radio", 0xf4c3304773864e55ULL},
+      {"analytics", 0x97b59644696516e9ULL},
+  };
+  for (const auto& [name, want] : apps) {
+    Fnv1a h;
+    for (AlignPolicy policy :
+         {AlignPolicy::Trim, AlignPolicy::Pad, AlignPolicy::MirrorPad}) {
+      for (bool reuse : {false, true}) {
+        CompileOptions opt;
+        opt.align_policy = policy;
+        opt.reuse_opt = reuse;
+        digest_compiled(compile(apps::named_app(name, {48, 36}, 180.0, 2), opt),
+                        h);
+      }
+    }
+    EXPECT_EQ(h.value(), want) << name << " digest " << hex(h.value());
+  }
+  // The Fig. 11 configurations, whose big inputs column-split buffers.
+  const std::uint64_t fig11[] = {0x1c6721d3d19053e5ULL, 0x5048a9371bb14d57ULL,
+                                 0x54074737dda915a3ULL, 0xad95f6bb8b6156beULL};
+  const std::vector<apps::Fig11Config> configs = apps::fig11_configs();
+  ASSERT_EQ(configs.size(), std::size(fig11));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    Fnv1a h;
+    digest_compiled(
+        compile(apps::figure1_app(configs[i].frame, configs[i].rate_hz, 2)), h);
+    EXPECT_EQ(h.value(), fig11[i])
+        << configs[i].tag << " digest " << hex(h.value());
+  }
 }
 
 }  // namespace

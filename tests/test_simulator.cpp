@@ -399,9 +399,12 @@ struct DigestRun {
   long delayed_releases = 0;
 };
 
-DigestRun sim_digest(const std::string& name, DigestMode mode) {
+DigestRun sim_digest(const std::string& name, DigestMode mode,
+                     AlignPolicy policy = AlignPolicy::Trim) {
+  CompileOptions copt;
+  copt.align_policy = policy;
   const CompiledApp app =
-      compile(apps::named_app(name, {32, 24}, 150.0, 2, 16));
+      compile(apps::named_app(name, {32, 24}, 150.0, 2, 16), copt);
   Graph g = app.graph.clone();
   obs::Recorder rec;
   std::optional<fault::Injector> inj;
@@ -486,6 +489,30 @@ TEST(Simulator, GoldenDigestsWithDeliveryDelays) {
     const DigestRun run = sim_digest(g.app, DigestMode::kDelivered);
     EXPECT_EQ(run.digest, g.digest);
     EXPECT_EQ(run.delayed_releases, g.late);
+  }
+}
+
+TEST(Simulator, GoldenDigestsUnderPaddingPolicies) {
+  // fig1's one alignment edit as a zero pad and as a mirror pad: the
+  // border kernels' scan FSMs, bursts included.
+  const struct {
+    AlignPolicy policy;
+    std::uint64_t plain, recorded;
+    long late;
+  } golden[] = {
+      {AlignPolicy::Pad, 0xcaf88edd537df59aULL, 0xd343a787419226d9ULL, 18},
+      {AlignPolicy::MirrorPad, 0x31cae8d07e6f7edaULL, 0xc73589afcb168ac4ULL,
+       0},
+  };
+  for (const auto& g : golden) {
+    SCOPED_TRACE(static_cast<int>(g.policy));
+    const DigestRun plain = sim_digest("fig1", DigestMode::kPlain, g.policy);
+    const DigestRun recorded =
+        sim_digest("fig1", DigestMode::kRecorded, g.policy);
+    EXPECT_EQ(plain.digest, g.plain);
+    EXPECT_EQ(recorded.digest, g.recorded);
+    EXPECT_EQ(plain.delayed_releases, g.late);
+    EXPECT_EQ(recorded.delayed_releases, g.late);
   }
 }
 
