@@ -3,8 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "kernels/inset.h"
-#include "kernels/mirror_pad.h"
+#include "kernels/border.h"
 
 namespace bpp {
 

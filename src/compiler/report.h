@@ -58,14 +58,14 @@ void write_comparison(const std::vector<ComparisonRow>& rows,
 [[nodiscard]] std::string comparison_string(
     const std::vector<ComparisonRow>& rows);
 
-/// Kernel inventory of a compiled app: counts by role.
+/// Kernel inventory of a compiled app: counts by kernel type.
 struct GraphCensus {
   int total = 0;
   int sources = 0;
   int computation = 0;
   int buffers = 0;
   int splits_joins = 0;  ///< split, join, replicate FSMs
-  int insets = 0;
+  int insets = 0;        ///< border kernels: trims, zero and mirror pads
 };
 
 [[nodiscard]] GraphCensus census(const Graph& g);

@@ -191,13 +191,6 @@ Tile Kernel::take_input(int port) {
   return std::move(bound_tile("take_input", port));
 }
 
-bool Kernel::has_input(const std::string& port_name) const {
-  if (!ctx_) return false;
-  int i = input_index(port_name);
-  if (i < 0) return false;
-  const Item* it = ctx_->input(i);
-  return it && is_data(*it);
-}
 
 void Kernel::write_output(const std::string& port_name, Tile t) {
   write_output_at(output_for("write_output", port_name), std::move(t), -1);

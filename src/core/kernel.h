@@ -237,8 +237,6 @@ class Kernel {
 
   /// The tile present on input `port_name` for this firing.
   [[nodiscard]] const Tile& read_input(const std::string& port_name) const;
-  /// True if a data tile is bound to the input for this firing.
-  [[nodiscard]] bool has_input(const std::string& port_name) const;
   /// Write a tile to output `port_name`; the tile must match the port window.
   void write_output(const std::string& port_name, Tile t);
   /// Like write_output but with an explicit transfer charge in words (for

@@ -17,8 +17,7 @@ DegradationController::DegradationController(DegradationPolicy policy,
 void DegradationController::attach_sinks(int sinks, double tolerance_seconds) {
   std::lock_guard<std::mutex> lk(mu_);
   sinks_needed_ = sinks > 0 ? sinks : 1;
-  monitor_ = obs::DeadlineMonitor(
-      {policy_.rate_hz, policy_.slack_seconds, tolerance_seconds}, metrics_);
+  monitor_.set_tolerance(tolerance_seconds);
 }
 
 DegradationController::Completion DegradationController::on_frame_end(

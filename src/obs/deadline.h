@@ -90,6 +90,8 @@ class DeadlineMonitor {
   [[nodiscard]] const std::vector<FrameVerdict>& verdicts() const {
     return verdicts_;
   }
+  /// Set the lateness tolerance; call before the first observation.
+  void set_tolerance(double seconds) { opt_.tolerance_seconds = seconds; }
 
  private:
   DeadlineOptions opt_;

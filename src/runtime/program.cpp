@@ -788,8 +788,6 @@ bool GraphProgram::done() const {
   return impl_->done_.load(std::memory_order_acquire);
 }
 
-bool GraphProgram::started() const { return impl_->started_; }
-
 bool GraphProgram::failed() const {
   return impl_->failed_.load(std::memory_order_acquire);
 }

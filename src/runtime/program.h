@@ -57,7 +57,6 @@ class GraphProgram {
   void start();
 
   [[nodiscard]] bool done() const;
-  [[nodiscard]] bool started() const;
   /// True once a kernel firing raised: the program quiesced itself and
   /// will make no further progress (the machine and co-tenant programs
   /// are unaffected). finish() reports the same via RuntimeResult.

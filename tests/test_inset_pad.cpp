@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kernels/inset.h"
+#include "kernels/border.h"
 #include "runtime/runtime.h"
 #include "test_util.h"
 
