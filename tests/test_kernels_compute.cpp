@@ -375,5 +375,124 @@ TEST(Morphology, OpeningIsErodeThenDilate) {
       EXPECT_DOUBLE_EQ(res.frames()[0].at(x, y), want.at(x, y));
 }
 
+
+// ---- declaration digest -----------------------------------------------------
+// FNV-1a over what the eight one-input, one-method window kernels declare
+// (ports, methods, scheduling hints) and over the bits one firing of a
+// clone writes for a fixed window. Input values are small dyadic rationals,
+// so every backend's dot product sums them exactly.
+
+void digest_spec(const PortSpec& s, testutil::Fnv1a& h) {
+  h.str(s.name);
+  h.pod(s.window.w);
+  h.pod(s.window.h);
+  h.pod(s.step.x);
+  h.pod(s.step.y);
+  h.pod(s.offset.x);
+  h.pod(s.offset.y);
+  h.pod(s.replicated);
+}
+
+void digest_kernel(Kernel& k, testutil::Fnv1a& h) {
+  k.ensure_configured();
+  h.str(k.name());
+  h.pod(k.inputs().size());
+  for (const InputPort& p : k.inputs()) digest_spec(p.spec, h);
+  h.pod(k.outputs().size());
+  for (const OutputPort& p : k.outputs()) digest_spec(p.spec, h);
+  h.pod(k.methods().size());
+  for (const MethodDef& m : k.methods()) {
+    h.str(m.name);
+    h.pod(m.res.cycles);
+    h.pod(m.res.memory_words);
+    h.pod(m.inputs.size());
+    for (int i : m.inputs) h.pod(i);
+    h.pod(m.trigger_token.has_value());
+    h.pod(m.trigger_token.value_or(-1));
+    h.pod(m.outputs.size());
+    for (int o : m.outputs) h.pod(o);
+    h.pod(m.token_outputs.size());
+    for (const TokenEmission& t : m.token_outputs) {
+      h.pod(t.port);
+      h.pod(t.cls);
+      h.pod(t.max_per_frame);
+    }
+  }
+  h.pod(k.parallel_kind());
+  h.str(k.dot_shape());
+  h.pod(k.pending_capacity());
+  h.pod(k.state_memory());
+
+  // One firing of a clone on a fixed window.
+  const std::unique_ptr<Kernel> copy = k.clone();
+  Tile win(k.input(0).spec.window);
+  for (int y = 0; y < win.height(); ++y)
+    for (int x = 0; x < win.width(); ++x)
+      win.at(x, y) = ((x * 5 + y * 11) % 17) / 8.0 - 1.0;
+  Item in = std::move(win);
+  ExecContext ctx;
+  Fifo<Emission> emissions;
+  ctx.bind_output(emissions);
+  ctx.bind_input(0, &in);
+  copy->invoke(0, ctx);
+  h.pod(emissions.size());
+  for (size_t i = 0; i < emissions.size(); ++i) {
+    const Emission& e = emissions[i];
+    h.pod(e.port);
+    h.pod(e.charge_words);
+    const Tile& t = as_tile(e.item);
+    h.pod(t.width());
+    h.pod(t.height());
+    for (int y = 0; y < t.height(); ++y)
+      for (int x = 0; x < t.width(); ++x) h.pod(t.at(x, y));
+  }
+}
+
+TEST(KernelLibrary, WindowKernelDeclarationsDigest) {
+  using Op = MorphologyKernel::Op;
+  std::vector<std::unique_ptr<Kernel>> kernels;
+  kernels.push_back(std::make_unique<MedianKernel>("med3", 3, 3));
+  kernels.push_back(std::make_unique<MedianKernel>("med5", 5, 5));
+  kernels.push_back(std::make_unique<MedianKernel>("med4x3", 4, 3));
+  kernels.push_back(std::make_unique<MorphologyKernel>("ero3", Op::Erode, 3, 3));
+  kernels.push_back(std::make_unique<MorphologyKernel>("dil5x3", Op::Dilate, 5, 3));
+  kernels.push_back(std::make_unique<MorphologyKernel>("ero2", Op::Erode, 2, 2));
+  kernels.push_back(std::make_unique<SobelKernel>("sobel"));
+  kernels.push_back(std::make_unique<DownsampleKernel>("down2", 2));
+  kernels.push_back(std::make_unique<DownsampleKernel>("down3", 3));
+  kernels.push_back(std::make_unique<DownsampleKernel>("down4", 4));
+  kernels.push_back(std::make_unique<UpsampleKernel>("up1", 1));
+  kernels.push_back(std::make_unique<UpsampleKernel>("up2", 2));
+  kernels.push_back(std::make_unique<UpsampleKernel>("up3", 3));
+  kernels.push_back(std::make_unique<FirDecimateKernel>(
+      "fir3", std::vector<double>{0.25, 0.5, 0.25}));
+  kernels.push_back(std::make_unique<FirDecimateKernel>(
+      "fir4", std::vector<double>{0.125, -0.5, 0.75, 2.0}, 2));
+  kernels.push_back(std::make_unique<FirDecimateKernel>(
+      "fir9", std::vector<double>(9, 0.0625), 3));
+  kernels.push_back(make_threshold("thresh", 0.25));
+  kernels.push_back(make_scale("scale", 1.5, -0.25));
+  kernels.push_back(make_clamp("clamp", -0.5, 0.5));
+  kernels.push_back(make_abs("abs"));
+  kernels.push_back(std::make_unique<BayerDemosaicKernel>("bayer"));
+
+  const std::uint64_t golden[] = {
+      0xe858fa938968d949ULL, 0x0ef9245fcb3419ebULL, 0x3a0a459ecf84320fULL,
+      0x43bb5ba3f4173195ULL, 0x01bdb062f88eec31ULL, 0x222afd99a0689634ULL,
+      0xe4f84cae91d135b5ULL, 0x0839fad05cc7a945ULL, 0xa7a80b466044e1b1ULL,
+      0x6f8a9fcca8641184ULL, 0x013833cdab708d8aULL, 0x155c371f669ee058ULL,
+      0x8ba0c1c38fc5d504ULL, 0xaf3c64570e1b3e3bULL, 0x1eba20b01ef0629dULL,
+      0x5e5d8ef8cd60b8d8ULL, 0x4cad945ee524ef19ULL, 0x55f6ead38514940bULL,
+      0x45c760504d285c9eULL, 0xef36312aeed35fbfULL, 0x05dc9a866a89fbf0ULL,
+  };
+  ASSERT_EQ(kernels.size(), std::size(golden));
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    SCOPED_TRACE(kernels[i]->name());
+    testutil::Fnv1a h;
+    digest_kernel(*kernels[i], h);
+    EXPECT_EQ(h.value(), golden[i]);
+  }
+}
+
 }  // namespace
 }  // namespace bpp
