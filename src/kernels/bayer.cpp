@@ -3,16 +3,8 @@
 namespace bpp {
 
 BayerDemosaicKernel::BayerDemosaicKernel(std::string name)
-    : Kernel(std::move(name)) {}
-
-void BayerDemosaicKernel::configure() {
-  create_input("in", {4, 4}, {2, 2}, {1.0, 1.0});
-  create_output("out", {2, 2}, {2, 2});
-  auto& run = register_method("demosaic", Resources{run_cycles(), 24},
-                              &BayerDemosaicKernel::run);
-  method_input(run, "in");
-  method_output(run, "out");
-}
+    : WindowKernel(std::move(name), {{4, 4}, {2, 2}, {1.0, 1.0}, {2, 2},
+                                     "demosaic", Resources{run_cycles(), 24}}) {}
 
 Tile BayerDemosaicKernel::demosaic_window(const Tile& win) {
   // Window origin sits at even mosaic coordinates, so parity inside the
@@ -52,10 +44,6 @@ Tile BayerDemosaicKernel::demosaic_window(const Tile& win) {
     }
   }
   return out;
-}
-
-void BayerDemosaicKernel::run() {
-  write_output("out", demosaic_window(read_input("in")));
 }
 
 }  // namespace bpp

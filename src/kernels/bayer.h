@@ -7,27 +7,21 @@
 
 #include <string>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
-class BayerDemosaicKernel final : public Kernel {
+class BayerDemosaicKernel final : public WindowKernel<BayerDemosaicKernel> {
  public:
   explicit BayerDemosaicKernel(std::string name);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<BayerDemosaicKernel>(*this);
-  }
+  [[nodiscard]] Tile apply(const Tile& in) const { return demosaic_window(in); }
 
   /// Demosaic the center 2x2 cell of a 4x4 RGGB window (window origin at
   /// even mosaic coordinates). Shared with the golden reference.
   [[nodiscard]] static Tile demosaic_window(const Tile& win);
 
   [[nodiscard]] static long run_cycles() { return 10 + 3L * 16; }
-
- private:
-  void run();
 };
 
 }  // namespace bpp

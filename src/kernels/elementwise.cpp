@@ -35,28 +35,12 @@ void BinaryOpKernel::run() {
 
 UnaryOpKernel::UnaryOpKernel(std::string name, Fn fn, long cycles,
                              std::string op_tag, double p0, double p1)
-    : Kernel(std::move(name)),
+    : WindowKernel(std::move(name),
+                   centered_window({1, 1}, "run", Resources{cycles, 2})),
       fn_(std::move(fn)),
-      cycles_(cycles),
       op_tag_(std::move(op_tag)),
       p0_(p0),
       p1_(p1) {}
-
-void UnaryOpKernel::configure() {
-  create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
-  create_output("out", {1, 1});
-  in_ = input_index("in");
-  out_ = output_index("out");
-  auto& run = register_method("run", Resources{cycles_, 2}, &UnaryOpKernel::run);
-  method_input(run, "in");
-  method_output(run, "out");
-}
-
-void UnaryOpKernel::run() {
-  Tile result(1, 1);
-  result.at(0, 0) = fn_(read_input(in_).at(0, 0));
-  write_output(out_, std::move(result));
-}
 
 std::unique_ptr<BinaryOpKernel> make_subtract(std::string name) {
   return std::make_unique<BinaryOpKernel>(

@@ -8,7 +8,7 @@
 #include <functional>
 #include <string>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
@@ -38,31 +38,24 @@ class BinaryOpKernel final : public Kernel {
   int in0_ = -1, in1_ = -1, out_ = -1;  ///< resolved in configure()
 };
 
-class UnaryOpKernel final : public Kernel {
+class UnaryOpKernel final : public WindowKernel<UnaryOpKernel> {
  public:
   using Fn = std::function<double(double)>;
 
   UnaryOpKernel(std::string name, Fn fn, long cycles = 6,
                 std::string op_tag = "", double p0 = 0.0, double p1 = 0.0);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<UnaryOpKernel>(*this);
-  }
-
   [[nodiscard]] const std::string& op_tag() const { return op_tag_; }
-  [[nodiscard]] long cycles() const { return cycles_; }
   [[nodiscard]] double param0() const { return p0_; }
   [[nodiscard]] double param1() const { return p1_; }
+  [[nodiscard]] Tile apply(const Tile& in) const {
+    return Tile({1, 1}, fn_(in.at(0, 0)));
+  }
 
  private:
-  void run();
-
   Fn fn_;
-  long cycles_;
   std::string op_tag_;
   double p0_ = 0.0, p1_ = 0.0;
-  int in_ = -1, out_ = -1;  ///< resolved in configure()
 };
 
 // Convenience factories matching the paper's kernel vocabulary.

@@ -6,9 +6,22 @@
 
 namespace bpp {
 
+namespace {
+
+// Fractional offsets appear naturally for decimating filters (§II-A
+// footnote 2): the output sample sits at the window center in input
+// coordinates, (t-1)/2, scaled by 1/decimate in output space.
+[[nodiscard]] WindowDecl fir_window(int t, int decimate) {
+  return {{t, 1}, {decimate, 1}, {(t - 1) / 2.0, 0.0}, {1, 1}, "runFir",
+          Resources{FirDecimateKernel::run_cycles(t), t + 6}};
+}
+
+}  // namespace
+
 FirDecimateKernel::FirDecimateKernel(std::string name, std::vector<double> taps,
                                      int decimate)
-    : Kernel(std::move(name)),
+    : WindowKernel(std::move(name),
+                   fir_window(static_cast<int>(taps.size()), decimate)),
       taps_(std::move(taps)),
       taps_rev_(taps_.rbegin(), taps_.rend()),
       decimate_(decimate) {
@@ -16,25 +29,9 @@ FirDecimateKernel::FirDecimateKernel(std::string name, std::vector<double> taps,
   if (decimate < 1) throw GraphError(this->name() + ": decimation must be >= 1");
 }
 
-void FirDecimateKernel::configure() {
-  const int t = taps();
-  // Fractional offsets appear naturally for decimating filters
-  // (§II-A footnote 2): the output sample sits at the window center in
-  // input coordinates, (t-1)/2, scaled by 1/decimate in output space.
-  create_input("in", {t, 1}, {decimate_, 1},
-               {(t - 1) / 2.0, 0.0});
-  create_output("out", {1, 1});
-  auto& run = register_method("runFir", Resources{run_cycles(t), t + 6},
-                              &FirDecimateKernel::run);
-  method_input(run, "in");
-  method_output(run, "out");
-}
-
-void FirDecimateKernel::run() {
-  const Tile& in = read_input("in");
-  Tile out(1, 1);
-  out.at(0, 0) = simd::ops().dot(in.data(), taps_rev_.data(), taps());
-  write_output("out", std::move(out));
+Tile FirDecimateKernel::apply(const Tile& in) const {
+  return Tile({1, 1}, simd::ops().dot(in.data(), taps_rev_.data(),
+                                      static_cast<int>(taps_rev_.size())));
 }
 
 std::vector<double> moving_average_taps(int n) {

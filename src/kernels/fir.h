@@ -7,33 +7,26 @@
 #include <string>
 #include <vector>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
-class FirDecimateKernel final : public Kernel {
+class FirDecimateKernel final : public WindowKernel<FirDecimateKernel> {
  public:
   /// @param taps     filter coefficients (applied newest-last, like the
   ///                 convolution kernel's flipped indexing)
   /// @param decimate output one sample per `decimate` inputs
   FirDecimateKernel(std::string name, std::vector<double> taps, int decimate = 1);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<FirDecimateKernel>(*this);
-  }
-
-  [[nodiscard]] int taps() const { return static_cast<int>(taps_.size()); }
   [[nodiscard]] const std::vector<double>& tap_values() const { return taps_; }
   [[nodiscard]] int decimation() const { return decimate_; }
+  [[nodiscard]] Tile apply(const Tile& in) const;
 
   [[nodiscard]] static long run_cycles(int taps) { return 8 + 2L * taps; }
 
  private:
-  void run();
-
   std::vector<double> taps_;
-  std::vector<double> taps_rev_;  ///< taps_ reversed: run() is a plain dot
+  std::vector<double> taps_rev_;  ///< taps_ reversed: apply() is a plain dot
   int decimate_;
 };
 

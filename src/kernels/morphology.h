@@ -4,32 +4,23 @@
 
 #include <string>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
-class MorphologyKernel final : public Kernel {
+class MorphologyKernel final : public WindowKernel<MorphologyKernel> {
  public:
   enum class Op { Erode, Dilate };
 
   MorphologyKernel(std::string name, Op op, int width, int height);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<MorphologyKernel>(*this);
-  }
-
   [[nodiscard]] Op op() const { return op_; }
+  [[nodiscard]] Tile apply(const Tile& in) const;
 
   [[nodiscard]] static long run_cycles(int w, int h) { return 8 + 2L * w * h; }
 
  private:
-  void run();
-
   Op op_;
-  int width_;
-  int height_;
-  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 };
 
 }  // namespace bpp

@@ -2,52 +2,40 @@
 
 namespace bpp {
 
+namespace {
+
+[[nodiscard]] Resources resample_resources(int factor) {
+  return {5 + 2L * factor * factor, 4};
+}
+
+}  // namespace
+
+// The averaged sample logically sits at the window centroid, a fractional
+// (f-1)/2 offset from the window origin.
 DownsampleKernel::DownsampleKernel(std::string name, int factor)
-    : Kernel(std::move(name)), factor_(factor) {
+    : WindowKernel(std::move(name),
+                   {{factor, factor}, {factor, factor},
+                    {(factor - 1) / 2.0, (factor - 1) / 2.0}, {1, 1}, "run",
+                    resample_resources(factor)}),
+      factor_(factor) {
   if (factor < 1) throw GraphError(this->name() + ": factor must be >= 1");
 }
 
-void DownsampleKernel::configure() {
-  // The averaged sample logically sits at the window centroid, a
-  // fractional (f-1)/2 offset from the window origin.
-  const double c = (factor_ - 1) / 2.0;
-  create_input("in", {factor_, factor_}, {factor_, factor_}, {c, c});
-  create_output("out", {1, 1});
-  auto& run = register_method("run", Resources{5 + 2L * factor_ * factor_, 4},
-                              &DownsampleKernel::run);
-  method_input(run, "in");
-  method_output(run, "out");
-}
-
-void DownsampleKernel::run() {
-  const Tile& in = read_input("in");
+Tile DownsampleKernel::apply(const Tile& in) const {
   double sum = 0.0;
   for (int y = 0; y < factor_; ++y) {
     const double* row = in.row_ptr(y);
     for (int x = 0; x < factor_; ++x) sum += row[x];
   }
-  Tile out(1, 1);
-  out.at(0, 0) = sum / (factor_ * factor_);
-  write_output("out", std::move(out));
+  return Tile({1, 1}, sum / (factor_ * factor_));
 }
 
 UpsampleKernel::UpsampleKernel(std::string name, int factor)
-    : Kernel(std::move(name)), factor_(factor) {
+    : WindowKernel(std::move(name), {{1, 1}, {1, 1}, {0.0, 0.0},
+                                     {factor, factor}, "run",
+                                     resample_resources(factor)}),
+      factor_(factor) {
   if (factor < 1) throw GraphError(this->name() + ": factor must be >= 1");
-}
-
-void UpsampleKernel::configure() {
-  create_input("in", {1, 1}, {1, 1}, {0.0, 0.0});
-  create_output("out", {factor_, factor_}, {factor_, factor_});
-  auto& run = register_method("run", Resources{5 + 2L * factor_ * factor_, 4},
-                              &UpsampleKernel::run);
-  method_input(run, "in");
-  method_output(run, "out");
-}
-
-void UpsampleKernel::run() {
-  const double v = read_input("in").at(0, 0);
-  write_output("out", Tile({factor_, factor_}, v));
 }
 
 }  // namespace bpp

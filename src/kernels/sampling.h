@@ -5,43 +5,33 @@
 
 #include <string>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
 /// factor x factor block average; output is 1/factor the input extent.
-class DownsampleKernel final : public Kernel {
+class DownsampleKernel final : public WindowKernel<DownsampleKernel> {
  public:
   DownsampleKernel(std::string name, int factor);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<DownsampleKernel>(*this);
-  }
-
   [[nodiscard]] int factor() const { return factor_; }
+  [[nodiscard]] Tile apply(const Tile& in) const;
 
  private:
-  void run();
-
   int factor_;
 };
 
 /// Nearest-neighbor upsampling: each input pixel becomes factor x factor.
-class UpsampleKernel final : public Kernel {
+class UpsampleKernel final : public WindowKernel<UpsampleKernel> {
  public:
   UpsampleKernel(std::string name, int factor);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<UpsampleKernel>(*this);
+  [[nodiscard]] int factor() const { return factor_; }
+  [[nodiscard]] Tile apply(const Tile& in) const {
+    return Tile({factor_, factor_}, in.at(0, 0));
   }
 
-  [[nodiscard]] int factor() const { return factor_; }
-
  private:
-  void run();
-
   int factor_;
 };
 

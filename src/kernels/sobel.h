@@ -3,26 +3,20 @@
 
 #include <string>
 
-#include "core/kernel.h"
+#include "kernels/window.h"
 
 namespace bpp {
 
-class SobelKernel final : public Kernel {
+class SobelKernel final : public WindowKernel<SobelKernel> {
  public:
   explicit SobelKernel(std::string name);
 
-  void configure() override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
-    return std::make_unique<SobelKernel>(*this);
+  [[nodiscard]] Tile apply(const Tile& in) const {
+    return Tile({1, 1}, gradient_magnitude(in));
   }
 
   /// Shared with the golden reference.
   [[nodiscard]] static double gradient_magnitude(const Tile& win3x3);
-
- private:
-  void run();
-
-  int in_ = -1, out_ = -1;  ///< port indices, resolved in configure()
 };
 
 }  // namespace bpp
