@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "fault/injector.h"
 #include "fault/plan.h"
 #include "kernels/buffer.h"
 
@@ -300,24 +301,19 @@ void write_fault_binding(const fault::FaultPlan& plan, const Graph& g,
   os << "fault plan: seed " << plan.seed << ", " << plan.kernels.size()
      << " kernel rule(s), " << plan.cores.size() << " core rule(s), "
      << plan.delivery.size() << " delivery rule(s)\n";
+  // The injector's own resolution, so the table shows what the engines
+  // perturb (sources bind their delivery rule alone).
+  fault::Injector inj(plan, plan.seed);
+  inj.bind(g, {});
   std::vector<bool> kernel_hit(plan.kernels.size(), false);
   std::vector<bool> delivery_hit(plan.delivery.size(), false);
   for (KernelId k = 0; k < g.kernel_count(); ++k) {
     const std::string& name = g.kernel(k).name();
-    int krule = -1;
-    for (size_t i = 0; i < plan.kernels.size(); ++i)
-      if (fault::glob_match(plan.kernels[i].match, name)) {
-        krule = static_cast<int>(i);
-        kernel_hit[i] = true;
-        break;
-      }
-    int drule = -1;
-    for (size_t i = 0; i < plan.delivery.size(); ++i)
-      if (fault::glob_match(plan.delivery[i].match, name)) {
-        drule = static_cast<int>(i);
-        delivery_hit[i] = true;
-        break;
-      }
+    const fault::Injector::Binding& b = inj.bindings()[static_cast<size_t>(k)];
+    const int krule = b.kernel_rule;
+    const int drule = b.delivery_rule;
+    if (krule >= 0) kernel_hit[static_cast<size_t>(krule)] = true;
+    if (drule >= 0) delivery_hit[static_cast<size_t>(drule)] = true;
     if (krule < 0 && drule < 0) continue;
     os << "  " << std::left << std::setw(28) << name << std::right;
     if (krule >= 0) {
@@ -350,10 +346,19 @@ void write_fault_binding(const fault::FaultPlan& plan, const Graph& g,
   }
   for (const fault::CoreRule& r : plan.cores)
     os << "  core " << r.core << " throttled " << r.throttle << "x\n";
-  for (size_t i = 0; i < plan.kernels.size(); ++i)
-    if (!kernel_hit[i])
-      os << "  WARNING: kernel rule '" << plan.kernels[i].match
-         << "' matches no kernel\n";
+  for (size_t i = 0; i < plan.kernels.size(); ++i) {
+    if (kernel_hit[i]) continue;
+    const std::string& match = plan.kernels[i].match;
+    bool matches_source = false;
+    for (KernelId k = 0; k < g.kernel_count(); ++k)
+      if (g.kernel(k).is_source() &&
+          fault::glob_match(match, g.kernel(k).name()))
+        matches_source = true;
+    os << "  WARNING: kernel rule '" << match
+       << (matches_source ? "' perturbs nothing: it matches only sources, "
+                            "which feel delivery rules alone\n"
+                          : "' matches no kernel\n");
+  }
   for (size_t i = 0; i < plan.delivery.size(); ++i)
     if (!delivery_hit[i])
       os << "  WARNING: delivery rule '" << plan.delivery[i].match

@@ -58,10 +58,23 @@ class Injector {
   Injector(FaultPlan plan, std::uint64_t seed)
       : plan_(std::move(plan)), seed_(seed) {}
 
+  /// The rules bound to one kernel: the first matching kernel and delivery
+  /// rules (indices into the plan, or -1) and its core's throttle.
+  struct Binding {
+    int kernel_rule = -1;
+    int delivery_rule = -1;
+    double core_throttle = 1.0;
+  };
+
   /// Resolve glob rules against the graph's kernel names and the placement
   /// (core_of[kernel] = core index, or empty when unplaced: core rules are
-  /// then ignored). Must be called before perturb(); may be re-bound.
+  /// then ignored). A source binds its delivery rule alone: a camera
+  /// cannot run slow, but its link can. This is the one place plan rules
+  /// are resolved. Must be called before perturb(); may be re-bound.
   void bind(const Graph& graph, const std::vector<int>& core_of);
+
+  /// Per-kernel resolution of the last bind(), indexed by kernel id.
+  [[nodiscard]] const std::vector<Binding>& bindings() const { return bindings_; }
 
   [[nodiscard]] bool bound() const { return bound_; }
   [[nodiscard]] bool active() const { return bound_ && !plan_.empty(); }
@@ -74,19 +87,13 @@ class Injector {
                                      std::int64_t firing_index) const;
 
  private:
-  struct Resolved {
-    const KernelRule* kernel = nullptr;      ///< first matching rule or null
-    const DeliveryRule* delivery = nullptr;  ///< first matching rule or null
-    double core_throttle = 1.0;              ///< from CoreRule on its core
-  };
-
   /// Uniform double in [0, 1) from the firing-scoped hash stream.
   [[nodiscard]] double u01(int kernel_id, std::int64_t firing_index,
                            std::uint64_t salt) const;
 
   FaultPlan plan_;
   std::uint64_t seed_ = 0;
-  std::vector<Resolved> resolved_;
+  std::vector<Binding> bindings_;
   bool bound_ = false;
 };
 

@@ -7,7 +7,8 @@
 //      fault injector's counter-based hashing),
 //   2. execute it on host threads (fault-injected when --faulted) and
 //      require bit-exact output against the composed scalar reference —
-//      faults perturb timing only, never values.
+//      faults perturb timing only, never values — and the simulator's
+//      count of injected faults.
 //
 // On failure it prints the exact repro command and exits 1; --trace FILE
 // saves the host run's Chrome trace so CI can upload it as an artifact.
@@ -455,6 +456,11 @@ int main(int argc, char** argv) {
     }
     std::printf("run: firings=%ld faults=%ld, %d frames bit-exact\n",
                 r.total_firings, r.faults_injected, nframes);
+    // Both engines key every perturbation on the same per-kernel index,
+    // so they must perturb the same firings and releases.
+    if (r.faults_injected != fa.faults)
+      return fail("host counted " + std::to_string(r.faults_injected) +
+                  " faults, the simulator " + std::to_string(fa.faults));
   } catch (const Error& e) {
     return fail(std::string("exception: ") + e.what());
   }

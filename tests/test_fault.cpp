@@ -185,16 +185,42 @@ TEST(Injector, RulesBindByGlobAndFirstMatchWins) {
   }
 }
 
+TEST(Injector, SourcesBindOnlyTheirDeliveryRule) {
+  // A camera cannot run slow, but its link can: timing rules and core
+  // throttles skip the source, delivery rules reach it.
+  fault::FaultPlan p = fault::parse_plan(
+      "{\"kernels\": [{\"jitter\": 0.5}], "
+      "\"cores\": [{\"core\": 0, \"throttle\": 2.0}], "
+      "\"delivery\": [{\"prob\": 1.0, \"delay_seconds\": 1e-5}]}");
+  Graph g = two_kernel_graph();
+  fault::Injector inj(p, 2);
+  inj.bind(g, std::vector<int>(static_cast<size_t>(g.kernel_count()), 0));
+  const int input = g.find("input");
+  const int sobel = g.find("sobel");
+  const auto& bindings = inj.bindings();
+  EXPECT_EQ(bindings[static_cast<size_t>(input)].kernel_rule, -1);
+  EXPECT_EQ(bindings[static_cast<size_t>(input)].delivery_rule, 0);
+  EXPECT_EQ(bindings[static_cast<size_t>(sobel)].kernel_rule, 0);
+  for (std::int64_t f = 0; f < 16; ++f) {
+    const fault::Perturbation src = inj.perturb(input, f);
+    EXPECT_EQ(src.time_scale, 1.0);
+    EXPECT_EQ(src.delivery_delay_seconds, 1e-5);
+    EXPECT_NE(inj.perturb(sobel, f).time_scale, 1.0);
+  }
+}
+
 TEST(Injector, CoreThrottleMultiplies) {
   fault::FaultPlan p =
       fault::parse_plan("{\"cores\": [{\"core\": 1, \"throttle\": 2.0}]}");
   Graph g = two_kernel_graph();
+  const int sobel = g.find("sobel");
+  const int threshold = g.find("threshold");
   std::vector<int> core_of(static_cast<size_t>(g.kernel_count()), 0);
-  core_of[0] = 1;  // place kernel 0 on the throttled core
+  core_of[static_cast<size_t>(sobel)] = 1;  // sobel on the throttled core
   fault::Injector inj(p, 3);
   inj.bind(g, core_of);
-  EXPECT_DOUBLE_EQ(inj.perturb(0, 0).time_scale, 2.0);
-  EXPECT_TRUE(inj.perturb(1, 0).identity());
+  EXPECT_DOUBLE_EQ(inj.perturb(sobel, 0).time_scale, 2.0);
+  EXPECT_TRUE(inj.perturb(threshold, 0).identity());
 }
 
 TEST(Injector, UnboundOrEmptyPlanInactive) {
@@ -216,6 +242,20 @@ TEST(Injector, FaultBindingReportNamesRulesAndDeadGlobs) {
   const std::string s = fault_binding_string(p, g);
   EXPECT_NE(s.find("sobel"), std::string::npos) << s;
   EXPECT_NE(s.find("WARNING: kernel rule 'nosuch*' matches no kernel"),
+            std::string::npos)
+      << s;
+}
+
+TEST(Injector, FaultBindingReportWarnsOnSourceOnlyTimingRules) {
+  fault::FaultPlan p = fault::parse_plan(
+      "{\"kernels\": [{\"match\": \"inp*\", \"jitter\": 0.2}], "
+      "\"delivery\": [{\"match\": \"input\", \"prob\": 0.5, "
+      "\"delay_seconds\": 1e-5}]}");
+  Graph g = two_kernel_graph();
+  const std::string s = fault_binding_string(p, g);
+  EXPECT_EQ(s.find("timing 'inp*'"), std::string::npos) << s;
+  EXPECT_NE(s.find("delivery 'input'"), std::string::npos) << s;
+  EXPECT_NE(s.find("WARNING: kernel rule 'inp*' perturbs nothing"),
             std::string::npos)
       << s;
 }
@@ -307,6 +347,23 @@ TEST(RuntimeFaults, FaultedRunStaysBitExact) {
             << "frame " << f << " at (" << x << ',' << y << ')';
       }
   }
+}
+
+TEST(RuntimeFaults, SourceDeliveryFaultsMatchTheSimulator) {
+  // The only rule matches the source, so every counted fault is a
+  // delayed release; both engines key it on the items pushed so far.
+  CompiledApp app = compile(apps::sobel_app({16, 12}, 100.0, 2, 100.0));
+  fault::FaultPlan p = fault::parse_plan(
+      "{\"delivery\": [{\"match\": \"input\", \"prob\": 0.25, "
+      "\"delay_seconds\": 1e-5}]}");
+  fault::Injector inj(p, 5);
+  const SimRun sim = simulate_app(app, &inj);
+  RuntimeOptions ropt;
+  ropt.injector = &inj;
+  const RuntimeResult r = run_threaded(app.graph, app.mapping, ropt);
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  EXPECT_GT(sim.faults, 0);
+  EXPECT_EQ(r.faults_injected, sim.faults);
 }
 
 // ---------------------------------------------------------------------------
