@@ -445,17 +445,17 @@ struct Golden {
 TEST(Simulator, GoldenDigestsMatchSweepSimulator) {
   const Golden golden[] = {
       {"fig1", 0x465477204269837fULL, 0x93bb696c347e90d2ULL,
-       0x062c6a0247fc3029ULL, 0xb81a27604c0ae0e6ULL, {0, 0, 1353, 1395}},
+       0xf6e5541e7d5fa9dcULL, 0xb81a27604c0ae0e6ULL, {0, 0, 1353, 1395}},
       {"analytics", 0xed9d6d7a63c905d8ULL, 0x52030ee2c8982182ULL,
-       0xa02fa5ca1ef23328ULL, 0x182b1eebedeb4a3cULL, {0, 0, 0, 1520}},
+       0x5a1696cc942da1e9ULL, 0x182b1eebedeb4a3cULL, {0, 0, 0, 1520}},
       {"parallel-buffer", 0xe1a951596e1de4b5ULL, 0xf60bc4473dde53e8ULL,
-       0x6667ae62b2e71802ULL, 0x4c9f437ccc3c8014ULL, {3, 3, 1153, 1206}},
+       0x374d6a6b02fe6c8dULL, 0x4c9f437ccc3c8014ULL, {3, 3, 1153, 1206}},
       {"multi-conv", 0x3db759de5328019bULL, 0x0e8fd2321acfcf66ULL,
-       0x6da91b1f87b81a69ULL, 0x191632bb57338e29ULL, {0, 0, 0, 1238}},
+       0x3f0db3ce95951b27ULL, 0x191632bb57338e29ULL, {0, 0, 0, 1238}},
       {"feedback", 0x5b944ad32dac268eULL, 0x6d8ba8b28a22eda6ULL,
-       0x8b5b134e752d1ac1ULL, 0xb4fb2d126ca7b36dULL, {0, 0, 0, 0}},
+       0x850b2b1d2032aa8bULL, 0xb4fb2d126ca7b36dULL, {0, 0, 0, 0}},
       {"motion", 0x79e2d1a0fa98ef9fULL, 0xab7fd81d06da27a8ULL,
-       0x47372c26d5253fb7ULL, 0x3b13c9205cb7d09aULL, {0, 0, 0, 0}},
+       0xf54198957d6c6a83ULL, 0x3b13c9205cb7d09aULL, {0, 0, 0, 0}},
   };
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.app);
