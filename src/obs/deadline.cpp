@@ -17,6 +17,25 @@ double lateness_tolerance(const Graph& g, double slowdown) {
   return period * slowdown;
 }
 
+double frame_close_seconds(const Graph& g, std::int64_t frame,
+                           double slowdown) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  double due = -kNever;
+  for (KernelId k = 0; k < g.kernel_count(); ++k) {
+    const Kernel& kn = g.kernel(k);
+    if (!kn.is_source()) continue;
+    const auto spec = kn.source_spec(0);
+    if (!spec || spec->rate_hz <= 0.0 || spec->frames <= 0) continue;
+    if (frame < 0 || frame >= spec->frames) return kNever;
+    const auto area = static_cast<std::int64_t>(spec->frame.area());
+    const double pixel_period =
+        1.0 / (spec->rate_hz * static_cast<double>(area));
+    due = std::max(due,
+                   static_cast<double>((frame + 1) * area - 1) * pixel_period);
+  }
+  return due == -kNever ? kNever : due * slowdown;
+}
+
 DeadlineMonitor::DeadlineMonitor(DeadlineOptions opt, MetricsRegistry* metrics,
                                  MissCallback on_miss)
     : opt_(opt), metrics_(metrics), on_miss_(std::move(on_miss)) {

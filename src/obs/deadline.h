@@ -42,6 +42,14 @@ namespace bpp::obs {
 /// of `g`, times a paced run's `slowdown`; infinite with no such source.
 [[nodiscard]] double lateness_tolerance(const Graph& g, double slowdown = 1.0);
 
+/// When frame `frame` closes on the paced schedule: the latest due time,
+/// in seconds from the first release, of the frame's last input pixel
+/// (and of the end-of-frame token riding on it) over the rate-driven
+/// finite sources of `g`, times `slowdown`. +inf past any such source's
+/// last frame, and with no such source.
+[[nodiscard]] double frame_close_seconds(const Graph& g, std::int64_t frame,
+                                         double slowdown = 1.0);
+
 /// Verdict for one frame.
 struct FrameVerdict {
   std::int64_t frame = -1;

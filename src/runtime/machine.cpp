@@ -20,9 +20,15 @@ void cpu_pause() {
 
 }  // namespace
 
-Program::Program(int cores)
-    : cores_(std::max(cores, 1)),
+Program::Program(int cores, bool watches_closes)
+    : watches_closes_(watches_closes),
+      cores_(std::max(cores, 1)),
       counts_(std::make_unique<NodeCount[]>(static_cast<size_t>(cores_) + 1)) {}
+
+double Program::close_watch(int /*core*/, double /*now_seconds*/,
+                            double /*lead_seconds*/) {
+  return std::numeric_limits<double>::infinity();
+}
 
 void Program::record_park(int /*core*/, double /*t0_seconds*/,
                           double /*t1_seconds*/) {}
@@ -96,6 +102,8 @@ void Machine::attach(Program* p, const std::vector<int>& cores_used) {
     Core& core = *cores_.at(static_cast<size_t>(c));
     std::lock_guard<std::mutex> lk(core.roster_mu);
     core.roster.push_back(p);
+    if (p->watches_closes_)
+      core.watchers.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -104,8 +112,10 @@ void Machine::detach(Program* p) {
   // arms no new paced sources, so the queued nodes drain quickly.
   for (auto& c : cores_) {
     std::lock_guard<std::mutex> lk(c->roster_mu);
-    c->roster.erase(std::remove(c->roster.begin(), c->roster.end(), p),
-                    c->roster.end());
+    const auto gone = std::remove(c->roster.begin(), c->roster.end(), p);
+    if (gone != c->roster.end() && p->watches_closes_)
+      c->watchers.fetch_sub(1, std::memory_order_relaxed);
+    c->roster.erase(gone, c->roster.end());
   }
   // Wait for every queued ready node of `p` to be popped and retired.
   // Rare (one detach per program lifetime) and short (no-op drains), so a
@@ -185,6 +195,20 @@ void Machine::worker(int core) {
         });
   };
 
+  // Frame-close watches: the earliest machine time from which a program on
+  // this core wants the worker awake for a closing frame. Under the roster
+  // lock, for the same reason as fire_due; not taken while no program on
+  // the core watches (a stale count only skips or wastes one look).
+  auto watch_from = [&](double t) {
+    double from = kNever;
+    if (sync.watchers.load(std::memory_order_relaxed) == 0) return from;
+    std::lock_guard<std::mutex> lk(sync.roster_mu);
+    for (Program* p : sync.roster)
+      if (p->watches_closes_ && !p->quiesced())
+        from = std::min(from, p->close_watch(core, t, margin.seconds()));
+    return from;
+  };
+
   while (!stop_.load(std::memory_order_acquire)) {
     if (sync.next_due != kNever) {
       const double t = now();
@@ -214,19 +238,19 @@ void Machine::worker(int core) {
       sync.sleepers.fetch_sub(1, std::memory_order_relaxed);
       continue;  // the loop head stops or fires the due release
     }
-    // With a release armed, wake `margin` early and poll the rest, since
-    // a timed wait returns late by about that much; not while the
-    // deadline is further off.
-    bool polling = sync.next_due != kNever &&
-                   t_park >= sync.next_due - margin.seconds();
+    // Stay awake from `margin` before an armed release, and from the
+    // start of a frame-close watch, since a timed wait returns late by
+    // about the margin; sleep until then.
+    const double wake =
+        std::min(sync.next_due - margin.seconds(), watch_from(t_park));
+    bool polling = t_park >= wake;
     if (!polling) {
       std::unique_lock<std::mutex> lk(sync.mu);
       const auto pred = [&] {
         return sync.epoch.load(std::memory_order_acquire) != e ||
                stop_.load(std::memory_order_acquire);
       };
-      if (sync.next_due != kNever) {
-        const double wake = sync.next_due - margin.seconds();
+      if (wake != kNever) {
         const auto deadline =
             epoch_ +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -242,12 +266,18 @@ void Machine::worker(int core) {
     sync.sleepers.fetch_sub(1, std::memory_order_relaxed);
     // Polling, the worker is no sleeper: cross-core enqueuers skip the
     // notify, as for any awake worker, and the pops below see their
-    // pushes. A node that arrives runs now, before the release.
+    // pushes. A node that arrives runs now, before the release. The poll
+    // ends when the release is due, or, with none near, when no frame is
+    // closing any more.
     ReadyNode* arrived = nullptr;
     while (polling && !(arrived = sync.queue.pop()) &&
-           !release_is_due(now(), sync.next_due) &&
-           !stop_.load(std::memory_order_acquire))
+           !stop_.load(std::memory_order_acquire)) {
+      const double t = now();
+      if (release_is_due(t, sync.next_due) ||
+          (t < sync.next_due - margin.seconds() && watch_from(t) > t))
+        break;
       cpu_pause();
+    }
     {
       const double t_wake = now();
       std::lock_guard<std::mutex> lk(sync.roster_mu);

@@ -53,8 +53,9 @@ class Program;
 }
 
 /// How late this thread's timed waits return: a running mean of wake
-/// time minus requested time. A worker waiting for a paced release wakes
-/// this much early and polls the rest (DESIGN.md §4.1). Worker-private.
+/// time minus requested time. A worker waiting for a paced release or a
+/// frame-close watch wakes this much early and polls the rest (DESIGN.md
+/// §4.1). Worker-private.
 class WakeMargin {
  public:
   /// Cap on one observation, and so on the estimate: about four times
@@ -136,7 +137,8 @@ class ReadyQueue {
 class Program {
  public:
   /// `cores` is the size of the machine's pool the program will attach to.
-  explicit Program(int cores);
+  /// Only a program that `watches_closes` is asked for close_watch.
+  explicit Program(int cores, bool watches_closes = false);
   virtual ~Program() = default;
 
   /// Run kernel `k` until it can make no more progress. Must return
@@ -148,6 +150,16 @@ class Program {
   /// one of the others still waits for (negative when none are armed).
   /// Called only when a release armed through Machine::arm_release is due.
   virtual double fire_due_sources(int core, double now_seconds) = 0;
+
+  /// The machine time from which the worker for `core` should stay awake,
+  /// polling its queue, because a frame of this program is closing: `lead`
+  /// seconds before the frame's close is due, and only until the frame has
+  /// closed or is past due. At most `now_seconds` while such a window is
+  /// open, +inf while none is ahead. Asked only of a program constructed
+  /// with `watches_closes`: when its worker would park and, inside a
+  /// window, before each poll; an answer at or before `now_seconds` means
+  /// the worker watches. Must not throw. Default: +inf.
+  virtual double close_watch(int core, double now_seconds, double lead_seconds);
 
   /// The worker for `core` parked from t0 to t1 (machine seconds). Called
   /// once per park for every program attached to the core — with several
@@ -189,6 +201,7 @@ class Program {
   void count_retired(int core);
 
   std::atomic<bool> quiesced_{false};
+  bool watches_closes_;
   int cores_;
   std::unique_ptr<NodeCount[]> counts_;
 };
@@ -254,9 +267,12 @@ class Machine {
     std::atomic<int> sleepers{0};
     std::mutex mu;
     std::condition_variable cv;
-    /// Programs with kernels on this core (guarded by roster_mu).
+    /// Programs with kernels on this core (guarded by roster_mu), and how
+    /// many of them watch closes (written under roster_mu; the worker
+    /// reads it unlocked to skip the roster when it is zero).
     mutable std::mutex roster_mu;
     std::vector<Program*> roster;
+    std::atomic<int> watchers{0};
     /// Earliest machine time a paced release on this core is due; +inf
     /// when none is armed. Worker-private (arm_release, fire_due).
     alignas(kCacheLineSize) double next_due =

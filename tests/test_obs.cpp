@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "apps/pipelines.h"
 #include "compiler/pipeline.h"
 #include "compiler/report.h"
+#include "kernels/input.h"
 #include "obs/analysis.h"
 #include "obs/critical_path.h"
 #include "obs/deadline.h"
@@ -649,6 +651,42 @@ TEST(Deadline, WholeReportObservation) {
   mon.observe(r);
   EXPECT_EQ(mon.frames(), 2);
   EXPECT_EQ(mon.misses(), 1);
+}
+
+// The close time of each frame is the release the paced source gives its
+// last pixel, and the end-of-frame token riding on it, at any slowdown.
+TEST(Deadline, FrameCloseMatchesTheSourceSchedule) {
+  struct Case {
+    Size2 frame;
+    double rate_hz;
+  };
+  constexpr int kFrames = 3;
+  for (const Case c : {Case{{16, 12}, 120.0}, Case{{5, 3}, 1000.0}})
+    for (const double slowdown : {1.0, 2.0}) {
+      Graph g = apps::pipeline_app(c.frame, c.rate_hz, kFrames);
+      InputKernel* in = nullptr;
+      for (KernelId k = 0; k < g.kernel_count() && in == nullptr; ++k)
+        in = dynamic_cast<InputKernel*>(&g.kernel(k));
+      ASSERT_NE(in, nullptr);
+      in->init();
+      double last_pixel = -1.0;
+      int frames = 0;
+      SourceEmission e;
+      while (in->source_poll(e)) {
+        if (is_data(e.item)) {
+          last_pixel = e.release_seconds;
+          continue;
+        }
+        if (as_token(e.item).cls != tok::kEndOfFrame) continue;
+        const double close = obs::frame_close_seconds(g, frames, slowdown);
+        EXPECT_EQ(close, last_pixel * slowdown) << "frame " << frames;
+        EXPECT_EQ(close, e.release_seconds * slowdown) << "frame " << frames;
+        ++frames;
+      }
+      EXPECT_EQ(frames, kFrames);
+      EXPECT_EQ(obs::frame_close_seconds(g, kFrames, slowdown),
+                std::numeric_limits<double>::infinity());
+    }
 }
 
 // --- Critical path + rate validation (simulated end to end) --------------

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <ctime>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
 
 #include "apps/pipelines.h"
 #include "compiler/pipeline.h"
+#include "fault/degradation.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "kernels/kernels.h"
@@ -424,6 +426,23 @@ TEST(Runtime, PacedRunReportsFiringsHighWaterAndObsGauges) {
   EXPECT_EQ(ends, frames);
 }
 
+// A paced run with a recorder counts the frame closes its workers
+// watched: at least one, at most one per frame on each core it uses.
+TEST(Runtime, PacedRunCountsCloseWatches) {
+  const int frames = 3;
+  CompiledApp app = compile(apps::histogram_app({8, 6}, 50.0, frames, 8));
+  obs::Recorder rec;
+  RuntimeOptions opt;
+  opt.pace_inputs = true;
+  opt.recorder = &rec;
+  Graph g = app.graph.clone();
+  const RuntimeResult r = run_threaded(g, app.mapping, opt);
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  const long watched = rec.metrics().counter("runtime.close_watches").value();
+  EXPECT_GE(watched, 1);
+  EXPECT_LE(watched, frames * app.mapping.cores);
+}
+
 TEST(Runtime, PacedSlowdownStretchesTheRun) {
   const double rate = 100.0;
   CompiledApp app = compile(apps::histogram_app({12, 8}, rate, 2, 8));
@@ -772,6 +791,15 @@ TEST(Machine, FiringCountPolledMidRunIsMonotoneAndExact) {
   EXPECT_EQ(sum, r.total_firings);
 }
 
+/// Queue (`p`, kernel `k`) on core 0 of `m` from a non-worker thread.
+void push_on_core0(rt::Machine& m, rt::Program& p, rt::ReadyNode& n,
+                   KernelId k) {
+  n.program = &p;
+  n.kernel = k;
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  m.enqueue(&n, 0, -1);
+}
+
 // Drives a Machine directly: processing kernel 0 arms a release `lead`
 // seconds ahead on its core; processing kernel 1 records when it ran.
 // fire_due_sources records when the release came due.
@@ -795,12 +823,8 @@ class ReleaseProbe final : public rt::Program {
     return -1.0;
   }
 
-  /// Queue kernel `k` on core 0 from a non-worker thread.
   void push(rt::ReadyNode& n, KernelId k) {
-    n.program = this;
-    n.kernel = k;
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    machine_.enqueue(&n, 0, -1);
+    push_on_core0(machine_, *this, n, k);
   }
 
   std::atomic<double> due_at{-1.0}, fired_at{-1.0}, ran_at{-1.0};
@@ -921,6 +945,115 @@ TEST(Machine, QueuedWorkRunsWhileWaitingForARelease) {
                                     << " nodes ran before the release";
 }
 
+// Drives a Machine directly with one frame-close window: close_watch
+// opens it `lead` before machine time `from` and closes it at `until`,
+// or, with `once`, as soon as the worker has begun to watch it (a frame
+// that closes at once). The first answer inside the window records when
+// the watch began; processing kernel 1 records when it ran.
+class CloseProbe final : public rt::Program {
+ public:
+  CloseProbe(rt::Machine& m, double from, double until, bool once = false)
+      : Program(m.cores(), /*watches_closes=*/true),
+        machine_(m),
+        from_(from),
+        until_(until),
+        once_(once) {}
+
+  void process(KernelId k, int /*core*/) override {
+    if (k == 1) ran_at.store(machine_.now());
+  }
+  double fire_due_sources(int /*core*/, double /*now_seconds*/) override {
+    return -1.0;
+  }
+  double close_watch(int /*core*/, double now_seconds,
+                     double lead_seconds) override {
+    if (now_seconds >= until_ || (once_ && watch_at.load() >= 0.0))
+      return std::numeric_limits<double>::infinity();
+    const double start = from_ - lead_seconds;
+    if (now_seconds >= start && watch_at.load() < 0.0)
+      watch_at.store(now_seconds);
+    return start;
+  }
+
+  void push(rt::ReadyNode& n, KernelId k) {
+    push_on_core0(machine_, *this, n, k);
+  }
+
+  std::atomic<double> watch_at{-1.0}, ran_at{-1.0};
+
+ private:
+  rt::Machine& machine_;
+  double from_, until_;
+  bool once_;
+};
+
+// A frame-close watch 50 ms away is a timed wait, like a distant
+// release: the process burns almost no CPU until it, and the worker
+// starts watching no earlier than its wake margin before the close. The
+// frame closes as soon as it is watched, so a late wake still watches it
+// and the watch itself costs no CPU to speak of.
+TEST(Machine, DistantFrameCloseBurnsNoCpu) {
+  constexpr double kLead = 0.05;
+  rt::Machine machine(1);
+  const double from = machine.now() + kLead;
+  CloseProbe p(machine, from, std::numeric_limits<double>::infinity(),
+               /*once=*/true);
+  machine.attach(&p, {0});
+  rt::ReadyNode kick;
+  const double cpu0 = process_cpu_seconds();
+  p.push(kick, 0);  // the worker asks for the window when it next parks
+  ASSERT_TRUE(wait_for([&] { return p.watch_at.load() >= 0.0; }));
+  const double cpu = process_cpu_seconds() - cpu0;
+  EXPECT_GE(p.watch_at.load(), from - rt::WakeMargin::kMaxSeconds);
+  EXPECT_LT(cpu, 0.1 * kLead) << "CPU seconds over a " << kLead
+                              << " s wait for a frame close";
+  p.quiesce();
+  machine.detach(&p);
+}
+
+// A worker watching a frame close runs the nodes other threads queue on
+// its core. Each trial opens a 20 ms window at once, waits until the
+// worker watches it, and pushes a node. The watching worker is no
+// sleeper, so the push sends no notify: only its own pops can find the
+// node before the window ends. A trial counts when the worker watched
+// and the push landed in the first half of the window; a preempted
+// worker can still lose one, so most counted trials, not all, must run
+// the node inside the window. ThreadSanitizer slows the poll: there the
+// trials still race pushes against it, but their timing is not checked.
+TEST(Machine, QueuedWorkRunsInsideAFrameCloseWindow) {
+  if (usable_cpus() < 2)
+    GTEST_SKIP() << "needs a CPU for the pushing thread beside the worker";
+  constexpr int kTrials = 16;
+  constexpr double kWindow = 0.02;
+  int counted = 0, inside = 0;
+  const int attempts = kThreadSanitizer ? kTrials : 20 * kTrials;
+  for (int attempt = 0; attempt < attempts && counted < kTrials; ++attempt) {
+    rt::Machine machine(1);
+    const double until = machine.now() + kWindow;
+    CloseProbe p(machine, machine.now(), until);
+    machine.attach(&p, {0});
+    rt::ReadyNode kick, work;
+    p.push(kick, 0);
+    ASSERT_TRUE(spin_until(
+        [&] { return p.watch_at.load() >= 0.0 || machine.now() >= until; }));
+    p.push(work, 1);
+    const bool in_time =
+        p.watch_at.load() >= 0.0 && machine.now() < until - kWindow / 2;
+    ASSERT_TRUE(wait_for([&] { return p.ran_at.load() >= 0.0; }))
+        << "attempt " << attempt;
+    if (in_time) {
+      ++counted;
+      if (p.ran_at.load() < until) ++inside;
+    }
+    p.quiesce();
+    machine.detach(&p);
+  }
+  if (kThreadSanitizer) return;
+  ASSERT_EQ(counted, kTrials) << "too few pushes landed inside the window";
+  EXPECT_GE(inside, kTrials * 3 / 4) << inside << " of " << kTrials
+                                     << " nodes ran inside the window";
+}
+
 // The wake margin starts bounded, follows the observed lateness, and
 // caps an outlier (a preempted wake).
 TEST(Machine, WakeMarginFollowsLatenessAndClampsOutliers) {
@@ -936,6 +1069,61 @@ TEST(Machine, WakeMarginFollowsLatenessAndClampsOutliers) {
   for (int i = 0; i < 200; ++i) m.observe(-1e-3);
   EXPECT_GE(m.seconds(), 0.0);
   EXPECT_LT(m.seconds(), 1e-9);
+}
+
+// An overloaded paced run that sheds (as in
+// Degradation.OverloadedPacedRunShedsWholeFrames), on a pool that outlives
+// it: a shed frame never closes at a sink, and must not keep a worker
+// watching for it. The run completes, sheds whole frames, keeps the
+// surviving outputs exact, and leaves the pool idle after finish().
+TEST(Runtime, PacedCloseWatchSkipsShedFrames) {
+  const Size2 frame{10, 8};
+  const int frames = 6;
+  CompiledApp app = compile(apps::sobel_app(frame, 200.0, frames, 100.0));
+  rt::Machine machine(2);
+  Mapping mapping = app.mapping;
+  mapping.cores = machine.cores();
+  for (int& c : mapping.core_of) c %= machine.cores();
+
+  fault::DegradationPolicy pol;
+  pol.shed = true;
+  pol.rate_hz = 1e6;  // 1 us period: every post-anchor frame misses
+  pol.max_pending_sheds = 1;
+  pol.cooldown_frames = 1;
+  fault::DegradationController ctrl(pol);
+  RuntimeOptions opt;
+  opt.pace_inputs = true;
+  opt.degradation = &ctrl;
+  GraphProgram p(app.graph, mapping, opt, machine);
+  p.start();
+  ASSERT_TRUE(wait_for([&] { return p.done() || p.failed(); }));
+  const RuntimeResult r = p.finish();
+  ASSERT_TRUE(r.completed) << r.error;
+
+  constexpr double kIdle = 0.05;
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::duration<double>(kIdle));
+  const double cpu = process_cpu_seconds() - cpu0;
+  EXPECT_LT(cpu, 0.1 * kIdle) << "CPU seconds over an idle " << kIdle
+                              << " s after the run";
+
+  EXPECT_GE(r.frames_shed, 1) << "overloaded run never shed";
+  const std::vector<std::int64_t> shed = ctrl.shed_frames();
+  const auto& res =
+      dynamic_cast<const OutputKernel&>(app.graph.by_name("result"));
+  ASSERT_EQ(res.frames().size(), static_cast<size_t>(frames) - shed.size());
+  size_t out_idx = 0;
+  for (int f = 0; f < frames; ++f) {
+    if (std::find(shed.begin(), shed.end(), f) != shed.end()) continue;
+    const Tile sob = ref::sobel(ref::make_frame(frame, f, default_pixel_fn()));
+    for (int y = 0; y < sob.height(); ++y)
+      for (int x = 0; x < sob.width(); ++x)
+        ASSERT_EQ(res.frames()[out_idx].at(x, y),
+                  sob.at(x, y) > 100.0 ? 1.0 : 0.0)
+            << "source frame " << f << " at (" << x << ',' << y << ')';
+    ++out_idx;
+  }
+  EXPECT_EQ(ctrl.frames_completed() + ctrl.frames_shed(), frames);
 }
 
 }  // namespace
