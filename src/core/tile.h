@@ -19,19 +19,20 @@
 //
 // Storage (DESIGN.md §4.4): a tile whose elements plus pad fit in
 // kInlineDoubles lives in a buffer inside the Tile itself, so the 1x1 and
-// 5x1 items on most channels never touch the heap. Larger tiles take a
-// plain ::operator new block, aligned by hand, which the allocator's
-// per-thread cache serves (the align_val_t overload is memalign on glibc,
-// which bypasses that cache and takes the arena lock). Either way, data()
-// belongs to the tile's current storage: a move copies an inline buffer,
-// so a pointer taken before moving a small tile does not follow it.
+// 5x1 items on most channels never touch the heap. A tile of up to
+// kMaxCachedDoubles (every per-item window) takes a block from the
+// per-thread block cache in tile.cpp: a window is made by its buffer's
+// worker and freed by its consumer's, and the cache sends the block home
+// to the thread that made it, so neither side takes an allocator lock.
+// Larger tiles (whole frames) take a plain ::operator new block, aligned by
+// hand. Either way, data() belongs to the tile's current storage: a move
+// copies an inline buffer, so a pointer taken before moving a small tile
+// does not follow it.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "core/geometry.h"
@@ -49,6 +50,10 @@ class Tile {
   /// buffer that also held 5x5 windows made every channel slot larger and
   /// both engines slower (EXPERIMENTS.md).
   static constexpr std::size_t kInlineDoubles = 16;
+  /// Doubles in the largest block the block cache keeps: elements plus
+  /// pad of up to this many (conv9x9's window is 89) are cached; larger
+  /// tiles allocate and free their own block.
+  static constexpr std::size_t kMaxCachedDoubles = 128;
 
   /// Empty. User-provided so that value-initialized slot arrays do not
   /// zero-fill the inline buffer.
@@ -182,20 +187,7 @@ class Tile {
 
   void allocate_raw() {
     const std::size_t n = area() + kPadDoubles;
-    if (n <= kInlineDoubles) {
-      data_ = inline_;
-      return;
-    }
-    // Over-allocate by one alignment unit and round up; the block's base
-    // pointer sits in the slack just below data(), which ::operator new's
-    // own alignment guarantees is at least one pointer wide.
-    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
-    void* base = ::operator new(n * sizeof(double) + kAlignBytes);
-    const std::uintptr_t aligned =
-        (reinterpret_cast<std::uintptr_t>(base) + kAlignBytes) &
-        ~std::uintptr_t{kAlignBytes - 1};
-    data_ = reinterpret_cast<double*>(aligned);
-    reinterpret_cast<void**>(data_)[-1] = base;
+    data_ = n <= kInlineDoubles ? inline_ : take_block(n);
   }
   void allocate(double fill) {
     allocate_raw();
@@ -216,10 +208,14 @@ class Tile {
     o.data_ = nullptr;
   }
   void release() {
-    if (data_ && !is_inline())
-      ::operator delete(reinterpret_cast<void**>(data_)[-1]);
+    if (data_ && !is_inline()) give_block(data_, area() + kPadDoubles);
     data_ = nullptr;
   }
+
+  /// A kAlignBytes-aligned block of at least `doubles` doubles (tile.cpp).
+  static double* take_block(std::size_t doubles);
+  /// Returns a block from take_block(doubles), from any thread.
+  static void give_block(double* data, std::size_t doubles) noexcept;
 
   Size2 size_{0, 0};
   double* data_ = nullptr;  ///< inline_, a heap block, or null when empty

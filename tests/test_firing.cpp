@@ -16,6 +16,7 @@
 #include "kernels/convolution.h"
 #include "kernels/elementwise.h"
 #include "kernels/histogram.h"
+#include "kernels/median.h"
 #include "kernels/split_join.h"
 #include "test_util.h"
 
@@ -468,20 +469,29 @@ TEST(Firing, WarmFireStepDoesNotAllocate) {
 }
 
 TEST(Firing, WarmDataFireStepDoesNotAllocate) {
-  // The common item: a 1x1 tile in, a 1x1 tile out. Inline tile storage
-  // keeps the whole step, method and drain, off the heap once warm.
+  // The common items: a 1x1 tile in, a 1x1 tile out, stored inline; and a
+  // 3x3 window, made afresh for every firing as a buffer emits it, whose
+  // block the tile block cache serves once warm. Neither step, method and
+  // drain included, touches the heap once warm.
   auto sub = make_subtract("sub");
   sub->ensure_configured();
   std::vector<Item> popped{px(5), px(3)};
   const FireDecision d =
       decide_fire(*sub, {0, 1}, Heads{{&popped[0], &popped[1]}});
   ASSERT_EQ(d.kind, FireDecision::Kind::Method);
+  MedianKernel median("median", 3, 3);
+  median.ensure_configured();
+  std::vector<Item> window{Tile(Size2{3, 3}, 4.0)};
+  const FireDecision wd = decide_fire(median, {0}, Heads{{&window[0]}});
+  ASSERT_EQ(wd.kind, FireDecision::Kind::Method);
   ExecContext ctx;
   KernelPorts ports;
   ports.out_channels = {{0}};
   double sum = 0.0;
   auto step = [&] {
     fire(*sub, d, popped, ctx, ports.pending);
+    window[0] = Tile(Size2{3, 3}, 4.0);
+    fire(median, wd, window, ctx, ports.pending);
     return drain_pending(
         ports, [](const std::vector<ChannelId>&) { return true; },
         [&](const std::vector<ChannelId>&, Emission& e) {
@@ -495,11 +505,13 @@ TEST(Firing, WarmDataFireStepDoesNotAllocate) {
   for (int i = 0; i < 100; ++i) drained = step() && drained;
   EXPECT_EQ(g_allocations - before, 0);
   EXPECT_TRUE(drained);
-  EXPECT_EQ(sum, 101 * 2.0);
+  EXPECT_EQ(sum, 101 * (2.0 + 4.0));
 
   // Control: the counter sees tile storage, so the zero above is earned.
+  // A tile past the largest cached block allocates on every construction.
+  static_assert(11 * 11 + Tile::kPadDoubles > Tile::kMaxCachedDoubles);
   before = g_allocations;
-  const Tile window(5, 5);
+  const Tile frame(11, 11);
   EXPECT_EQ(g_allocations - before, 1);
 }
 

@@ -2,11 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <set>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "core/spsc_ring.h"
 #include "core/tile.h"
 #include "core/token.h"
+
+// Every plain allocation in this binary is counted, from any thread, so a
+// test can hold a region of code at zero fresh tile blocks.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace bpp {
 namespace {
@@ -169,6 +192,105 @@ TEST(Tile, SwapExchangesInlineAndHeapStorage) {
   expect_contract(e, Size2{1, 1}, 2.0);
   expect_contract(h, kSmallestHeap, 3.0);
 }
+
+TEST(Tile, CrossThreadBlocksReturnToTheirOwner) {
+  // A buffer's worker makes windows and its consumer's worker frees them.
+  // The freed blocks go back to the producer's cache. Each round's windows
+  // are all alive before any is freed, so the first round makes as many
+  // blocks as any round needs, and later rounds make none.
+  constexpr int kRounds = 101, kPerRound = 64;
+  const Size2 kWindow5{5, 5};
+  auto shape = [&](int i) { return i % 2 == 0 ? kSmallestHeap : kWindow5; };
+  SpscRing<Item> ring(kPerRound);
+  std::atomic<int> produced{0}, consumed{0};
+  auto wait_for = [](const std::atomic<int>& count, int n) {
+    while (count.load(std::memory_order_acquire) < n) std::this_thread::yield();
+  };
+  std::thread consumer([&] {
+    for (int i = 0; i < kRounds * kPerRound; ++i) {
+      wait_for(produced, (i / kPerRound + 1) * kPerRound);
+      expect_contract(as_tile(*ring.front()), shape(i), i);
+      ring.pop();  // frees the window on this thread
+      consumed.store(i + 1, std::memory_order_release);
+    }
+  });
+  long allocations = -1;
+  std::thread producer([&] {
+    long before = 0;
+    for (int r = 0; r < kRounds; ++r) {
+      if (r == 1) before = g_allocations.load();
+      for (int k = 0; k < kPerRound; ++k) {
+        const int i = r * kPerRound + k;
+        ASSERT_TRUE(ring.try_push(numbered(shape(i), i)));
+      }
+      produced.store((r + 1) * kPerRound, std::memory_order_release);
+      wait_for(consumed, (r + 1) * kPerRound);
+    }
+    allocations = g_allocations.load() - before;
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_EQ(allocations, 0);
+}
+
+TEST(Tile, BlocksOutliveTheirThread) {
+  // A window can outlive the worker that made it. The worker's cache is
+  // released when its thread exits, with the blocks the worker freed
+  // itself; blocks freed later still go back to it; and the next thread
+  // that needs a cache adopts it, blocks and all. The 7x7 class is used
+  // by no other test here, so the adopted cache holds exactly the first
+  // thread's blocks of it.
+  constexpr int kTiles = 16;
+  constexpr Size2 kWindow7{7, 7};
+  std::set<const double*> blocks;
+  std::vector<Tile> made;
+  made.reserve(kTiles);
+  std::thread([&] {
+    std::vector<Tile> own;
+    own.reserve(kTiles / 2);
+    for (int i = 0; i < kTiles; ++i)
+      (i % 2 == 0 ? own : made).push_back(numbered(kWindow7, i));
+    for (const Tile& t : own) blocks.insert(t.data());
+  }).join();  // frees `own` on the thread that made it
+  for (int i = 0; i < kTiles / 2; ++i) {
+    expect_contract(made[static_cast<std::size_t>(i)], kWindow7, 2 * i + 1);
+    blocks.insert(made[static_cast<std::size_t>(i)].data());
+  }
+  made.clear();  // freed here, after the thread that made them has exited
+
+  long allocations = -1;
+  std::thread([&] {
+    const long before = g_allocations.load();
+    for (int i = 0; i < kTiles; ++i)
+      made.push_back(numbered(kWindow7, 100 + i));
+    allocations = g_allocations.load() - before;
+  }).join();
+  EXPECT_EQ(allocations, 0);
+  std::set<const double*> reused;
+  for (int i = 0; i < kTiles; ++i) {
+    expect_contract(made[static_cast<std::size_t>(i)], kWindow7, 100 + i);
+    reused.insert(made[static_cast<std::size_t>(i)].data());
+  }
+  EXPECT_EQ(reused, blocks);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(TileDeathTest, CachedBlockIsPoisonedUnderAsan) {
+  // A freed window's block waits in its cache for reuse, poisoned, so a
+  // read through a stale pointer still faults.
+  EXPECT_DEATH(
+      {
+        const double* stale = nullptr;
+        {
+          const Tile t = numbered(kSmallestHeap, 1.0);
+          stale = t.data();
+        }
+        const volatile double v = stale[0];
+        (void)v;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Tile, Equality) {
   Tile a(2, 2), b(2, 2);
